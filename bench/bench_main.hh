@@ -64,6 +64,7 @@ struct BenchOptions
     unsigned hostWarmup = 1;    //!< --host-warmup (CI-friendly default)
     unsigned hostReps = 5;      //!< --host-reps (contract wants 30+)
     int pinCpu = -1;            //!< --pin; < 0 = no pinning
+    std::string prog = "bench"; //!< argv[0], for diagnostics
 };
 
 /**
@@ -89,10 +90,13 @@ class BenchContext
      *  concurrently on first use and recorded in the sink. */
     const std::vector<study::RunResult> &results();
 
-    /** Results for the full 5x3 grid, regardless of selection — the
-     *  paper's figure/table builders need every cell (including the
-     *  AltiVec baseline). A bench should use either this or
-     *  results(), not both, so the sink stays duplicate-free. */
+    /** Results for the full 5x3 grid — the paper's figure/table
+     *  builders need every cell (including the AltiVec baseline).
+     *  A bench that calls this takes no narrowing: when
+     *  --machines/--kernels leave out any machine or kernel, it
+     *  prints why, naming the bench, and exits 2 before running
+     *  anything. A bench should use either this or results(), not
+     *  both, so the sink stays duplicate-free. */
     const std::vector<study::RunResult> &allResults();
 
     /** The cells selected by --machines/--kernels. */

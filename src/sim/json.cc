@@ -306,8 +306,19 @@ class Parser
             return false;
         }
         switch (in[pos]) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            if (depth == kMaxDepth) {
+                fail("nesting deeper than " + std::to_string(kMaxDepth)
+                     + " levels");
+                return false;
+            }
+            ++depth;
+            const bool ok =
+                in[pos] == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return ok;
+          }
           case '"':
             out.kind = Value::Kind::String;
             return parseString(out.text);
@@ -473,6 +484,7 @@ class Parser
 
     const std::string &in;
     std::size_t pos = 0;
+    std::size_t depth = 0;     //!< open arrays/objects around pos
     std::string *err = nullptr;
 };
 

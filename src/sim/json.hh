@@ -29,6 +29,7 @@
 #ifndef TRIARCH_SIM_JSON_HH
 #define TRIARCH_SIM_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -162,9 +163,17 @@ struct Value
 };
 
 /**
- * Parse one complete JSON document. On failure returns nullopt and
- * stores "JSON error at offset N: why" into *error (if non-null and
- * still empty).
+ * Deepest array/object nesting parse() accepts. The parser recurses
+ * once per level, so a hostile line of a few hundred kilobytes of
+ * '[' would otherwise overflow the stack; the repo's own documents
+ * nest fewer than ten levels.
+ */
+constexpr std::size_t kMaxDepth = 256;
+
+/**
+ * Parse one complete JSON document. On failure (including nesting
+ * deeper than kMaxDepth) returns nullopt and stores "JSON error at
+ * offset N: why" into *error (if non-null and still empty).
  */
 std::optional<Value> parse(const std::string &text, std::string *error);
 

@@ -12,7 +12,9 @@
  * FFT twiddle caches are thread_local; see the re-entrancy notes in
  * kernels/fft.cc). Results land in slots indexed by cell, not by
  * completion order, so the output vector is independent of thread
- * count and scheduling.
+ * count and scheduling. Workers claim cells longest-first by a
+ * deterministic host-cost estimate (claimOrder), which changes only
+ * when each result is computed, never what it is.
  */
 
 #ifndef TRIARCH_STUDY_PARALLEL_HH
@@ -39,6 +41,27 @@ struct Cell
 
 /** All 15 Table-3 cells in (machine-major, kernel-minor) order. */
 std::vector<Cell> allCells();
+
+/**
+ * Estimated host cost of running @p cell under @p cfg, in host
+ * nanoseconds at the speed the weights were measured at: the
+ * kernel's work size (corner turn: n^2 words; CSLC: channels x
+ * sub-bands x sub-band length transform points; beam steering:
+ * elements x directions x dwells outputs) times a per-cell weight.
+ * The weights are the paper config's traced run_ms medians divided
+ * by its work sizes (DESIGN.md D6). A pure function of its
+ * arguments: no wall clock, no measured state.
+ */
+double cellCostEstimate(const Cell &cell, const StudyConfig &cfg);
+
+/**
+ * The order ParallelRunner's workers claim @p cells in: indices into
+ * @p cells by descending cellCostEstimate(), equal estimates in
+ * request order. Longest-first keeps the last worker from starting
+ * the grid's heaviest cell while the others go idle.
+ */
+std::vector<std::size_t> claimOrder(const std::vector<Cell> &cells,
+                                    const StudyConfig &cfg);
 
 class ParallelRunner
 {

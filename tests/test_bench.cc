@@ -3,7 +3,8 @@
  * Regression tests for the shared bench CLI harness and the id
  * lookup tables: numeric flags reject negative, overflowing, and
  * truncating values instead of silently wrapping; value-less flags
- * reject inline values; the trace file is written even when the
+ * reject inline values; full-grid benches refuse a narrowed
+ * selection; the trace file is written even when the
  * bench body fails; and out-of-range KernelId/MachineId lookups
  * panic with the numeric value instead of reading past the static
  * name arrays.
@@ -125,6 +126,31 @@ TEST(BenchCliInline, BareCsvStillWorks)
                            return ctx.options().csv ? 0 : 9;
                        }),
               0);
+}
+
+// ---------------------------------------------------------------
+// Full-grid benches reject a narrowed selection.
+// ---------------------------------------------------------------
+
+int
+fullGridBody(bench::BenchContext &ctx)
+{
+    return ctx.allResults().size() == 15 ? 0 : 1;
+}
+
+TEST(BenchFullGrid, NarrowedSelectionExitsTwoNamingTheBench)
+{
+    // Pre-fix, allResults() simulated all 15 cells (and wrote them
+    // to --json) under a selection of one.
+    EXPECT_EXIT(runBench({"--machines", "imagine", "--kernels", "bs"},
+                         fullGridBody),
+                testing::ExitedWithCode(2),
+                "test_bench draws the full 5x3 grid");
+    EXPECT_EXIT(runBench({"--kernels", "ct,cslc"}, fullGridBody),
+                testing::ExitedWithCode(2), "cannot narrow");
+    EXPECT_EXIT(runBench({"--machines", "ppc,altivec,viram,imagine"},
+                         fullGridBody),
+                testing::ExitedWithCode(2), "cannot narrow");
 }
 
 // ---------------------------------------------------------------

@@ -2,7 +2,8 @@
  * @file
  * Tests for the parallel experiment engine and the registry-based
  * dispatch behind it: bit-identical determinism of ParallelRunner
- * against the serial Runner at several thread counts, full coverage
+ * against the serial Runner at several thread counts (over the fuzz
+ * boundary configs too), the longest-first claim order, full coverage
  * of the built-in MappingRegistry, the typed unknown-pair error
  * path, result-cache behavior, config hashing, and the JSON result
  * sink.
@@ -10,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <sstream>
 #include <thread>
 
+#include "study/config_check.hh"
+#include "study/fuzz.hh"
 #include "study/parallel.hh"
 #include "study/registry.hh"
 #include "study/result_sink.hh"
@@ -45,23 +49,43 @@ smallConfig()
 // thread count is bit-identical to the serial Runner.
 // ---------------------------------------------------------------
 
+/** smallConfig() followed by every valid fuzz boundary config: the
+ *  strip/tile/block edges, single-element and skewed shapes. */
+std::vector<StudyConfig>
+determinismConfigs()
+{
+    FuzzOptions opts;
+    opts.randomConfigs = 0;
+    std::vector<StudyConfig> configs = {smallConfig()};
+    for (const StudyConfig &cfg : enumerateFuzzConfigs(opts)) {
+        if (!validateConfig(cfg))
+            configs.push_back(cfg);
+    }
+    return configs;
+}
+
 TEST(ParallelDeterminism, BitIdenticalToSerialAtAnyThreadCount)
 {
-    const StudyConfig cfg = smallConfig();
-    Runner serial(cfg);
-    const std::vector<RunResult> expect = serial.runAll();
-    ASSERT_EQ(expect.size(), 15u);
+    const std::vector<StudyConfig> configs = determinismConfigs();
+    ASSERT_GT(configs.size(), 10u);
+    for (const StudyConfig &cfg : configs) {
+        Runner serial(cfg);
+        const std::vector<RunResult> expect = serial.runAll();
+        ASSERT_EQ(expect.size(), 15u) << describeConfig(cfg);
 
-    for (unsigned threads : {1u, 2u, 8u}) {
-        ParallelRunner par(cfg, threads, nullptr,
-                           ParallelRunner::noCache());
-        const std::vector<RunResult> got = par.runAll();
-        ASSERT_EQ(got.size(), expect.size()) << threads << " threads";
-        for (std::size_t i = 0; i < expect.size(); ++i) {
-            EXPECT_EQ(got[i], expect[i])
-                << threads << " threads, cell " << i << " ("
-                << machineName(expect[i].machine) << " / "
-                << kernelName(expect[i].kernel) << ")";
+        for (unsigned threads : {1u, 2u, 8u}) {
+            ParallelRunner par(cfg, threads, nullptr,
+                               ParallelRunner::noCache());
+            const std::vector<RunResult> got = par.runAll();
+            ASSERT_EQ(got.size(), expect.size())
+                << threads << " threads";
+            for (std::size_t i = 0; i < expect.size(); ++i) {
+                EXPECT_EQ(got[i], expect[i])
+                    << threads << " threads, cell " << i << " ("
+                    << machineName(expect[i].machine) << " / "
+                    << kernelName(expect[i].kernel) << "), "
+                    << describeConfig(cfg);
+            }
         }
     }
 }
@@ -125,6 +149,120 @@ TEST(ParallelRunner, WorkQueueOverlapsIndependentCells)
                           .count();
     EXPECT_EQ(results.size(), 15u);
     EXPECT_LT(ms, 300.0) << "8 workers should overlap the sleeps";
+}
+
+// ---------------------------------------------------------------
+// Claim order: workers take the heaviest cost estimate first, by a
+// pure function of (cells, config); results keep request order.
+// ---------------------------------------------------------------
+
+/** Estimates along @p order never increase. */
+void
+expectDescending(const std::vector<Cell> &cells,
+                 const std::vector<std::size_t> &order,
+                 const StudyConfig &cfg)
+{
+    ASSERT_EQ(order.size(), cells.size());
+    for (std::size_t k = 1; k < order.size(); ++k) {
+        EXPECT_GE(cellCostEstimate(cells[order[k - 1]], cfg),
+                  cellCostEstimate(cells[order[k]], cfg))
+            << "claim " << k;
+    }
+}
+
+TEST(ClaimOrder, DependsOnlyOnCellsAndConfig)
+{
+    const std::vector<Cell> cells = allCells();
+    const StudyConfig cfg = smallConfig();
+    const std::vector<std::size_t> order = claimOrder(cells, cfg);
+    EXPECT_EQ(claimOrder(cells, StudyConfig(cfg)), order);
+    // The data seed changes workload values, not work sizes.
+    StudyConfig reseeded = cfg;
+    reseeded.seed += 1000;
+    EXPECT_EQ(claimOrder(cells, reseeded), order);
+    // Every cell is claimed exactly once.
+    std::vector<std::size_t> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+        EXPECT_EQ(sorted[i], i);
+}
+
+TEST(ClaimOrder, HeaviestEstimateGoesFirst)
+{
+    const std::vector<Cell> cells = allCells();
+
+    // Paper config: the 1024^2 Raw corner turn is the longest cell.
+    const StudyConfig paper;
+    const auto paperOrder = claimOrder(cells, paper);
+    expectDescending(cells, paperOrder, paper);
+    EXPECT_EQ(cells[paperOrder.front()],
+              (Cell{MachineId::Raw, KernelId::CornerTurn}));
+
+    // Small config: CSLC's 8 sub-bands outweigh a 128^2 transpose,
+    // so Raw CSLC leads.
+    const StudyConfig small = smallConfig();
+    const auto smallOrder = claimOrder(cells, small);
+    expectDescending(cells, smallOrder, small);
+    EXPECT_EQ(cells[smallOrder.front()],
+              (Cell{MachineId::Raw, KernelId::Cslc}));
+    EXPECT_NE(paperOrder, smallOrder);
+}
+
+TEST(ClaimOrder, TiesKeepRequestOrder)
+{
+    // Duplicates tie with themselves.
+    const Cell heavy{MachineId::Raw, KernelId::Cslc};
+    const Cell light{MachineId::Imagine, KernelId::BeamSteering};
+    EXPECT_EQ(claimOrder({light, heavy, light, heavy}, smallConfig()),
+              (std::vector<std::size_t>{1, 3, 0, 2}));
+
+    // With no beam outputs every beam-steering cell estimates 0.
+    StudyConfig noBeams = smallConfig();
+    noBeams.beam.elements = 0;
+    const std::vector<Cell> beams = {
+        {MachineId::Raw, KernelId::BeamSteering},
+        {MachineId::PpcScalar, KernelId::BeamSteering},
+        {MachineId::Viram, KernelId::BeamSteering},
+    };
+    EXPECT_EQ(claimOrder(beams, noBeams),
+              (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(ClaimOrder, WorkersClaimInOrderAndResultsKeepRequestOrder)
+{
+    // One worker makes the claim order observable; every fake
+    // mapping logs its cell when it runs.
+    std::vector<Cell> executed;
+    MappingRegistry logging;
+    for (MachineId machine : allMachines()) {
+        for (KernelId kernel : allKernels()) {
+            logging.add(machine, kernel,
+                        [machine, kernel, &executed](
+                            const StudyConfig &, const Workloads &) {
+                            executed.push_back({machine, kernel});
+                            RunResult r;
+                            r.machine = machine;
+                            r.kernel = kernel;
+                            r.cycles = 1;
+                            r.validated = true;
+                            return r;
+                        });
+        }
+    }
+    const std::vector<Cell> cells = allCells();
+    ParallelRunner par(smallConfig(), 1, &logging,
+                       ParallelRunner::noCache());
+    const auto results = par.runCells(cells);
+
+    const auto order = claimOrder(cells, smallConfig());
+    ASSERT_EQ(executed.size(), cells.size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+        EXPECT_EQ(executed[k], cells[order[k]]) << "claim " << k;
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(results[i].machine, cells[i].machine) << i;
+        EXPECT_EQ(results[i].kernel, cells[i].kernel) << i;
+    }
 }
 
 // ---------------------------------------------------------------

@@ -737,6 +737,78 @@ TEST(SocketServer, GarbageLineGetsABadRequestNotAHangup)
     server.stop();
 }
 
+TEST(SocketServer, DeeplyNestedLineGetsABadRequestAndServesOn)
+{
+    std::atomic<std::uint64_t> executions{0};
+    const auto registry = fakeRegistry(&executions);
+    study::ResultCache cache;
+    serve::ExperimentService service({}, &registry, &cache);
+
+    serve::ServerOptions serverOpts;
+    serverOpts.unixPath = testing::TempDir() + "/triarchd_nested_"
+                          + std::to_string(::getpid()) + ".sock";
+    serve::SocketServer server(service, serverOpts);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, serverOpts.unixPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    auto sendLine = [fd](const std::string &text) {
+        std::size_t sent = 0;
+        while (sent < text.size()) {
+            const ssize_t n =
+                ::write(fd, text.data() + sent, text.size() - sent);
+            if (n <= 0)
+                return false;
+            sent += static_cast<std::size_t>(n);
+        }
+        return true;
+    };
+    auto readLine = [fd]() {
+        std::string line;
+        char ch = 0;
+        while (::read(fd, &ch, 1) == 1 && ch != '\n')
+            line.push_back(ch);
+        return line;
+    };
+
+    // ~400 KB of nesting: one recursion per '[' used to overflow the
+    // parser's stack and take the daemon down.
+    ASSERT_TRUE(sendLine("{\"config\":" + std::string(400000, '[')
+                         + "\n"));
+    JobResponse nested;
+    const std::string nestedLine = readLine();
+    ASSERT_TRUE(serve::parseJobResponse(nestedLine, &nested, &error))
+        << error << " in: " << nestedLine.substr(0, 200);
+    ASSERT_FALSE(nested.ok());
+    EXPECT_EQ(nested.error->code, JobErrorCode::BadRequest);
+    EXPECT_NE(nested.error->message.find("nesting"), std::string::npos)
+        << nested.error->message;
+
+    // The same connection still serves a normal job.
+    const auto request = tinyRequest(
+        {{MachineId::PpcScalar, KernelId::CornerTurn}});
+    ASSERT_TRUE(sendLine(serve::writeJobRequest(request) + "\n"));
+    JobResponse served;
+    const std::string servedLine = readLine();
+    ASSERT_TRUE(serve::parseJobResponse(servedLine, &served, &error))
+        << error << " in: " << servedLine;
+    ASSERT_TRUE(served.ok()) << served.error->message;
+    ASSERT_EQ(served.results.size(), 1u);
+    EXPECT_EQ(served.results[0].result.cycles, 100u);
+    ::close(fd);
+
+    server.stop();
+    service.drain();
+}
+
 // --- the stats endpoint --------------------------------------------
 
 TEST(ServeProtocol, StatsRequestRoundTripsWithoutConfigOrCells)

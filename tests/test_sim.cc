@@ -1,18 +1,23 @@
 /**
  * @file
  * Unit tests for the simulation base library: bit utilities, RNG
- * determinism, statistics, and table rendering.
+ * determinism, statistics, table rendering, the JSON reader's
+ * nesting limit, and the mapped DRAM buffer.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "sim/bitutil.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
+#include "sim/zero_buffer.hh"
 
 namespace triarch
 {
@@ -383,6 +388,91 @@ TEST(BarChart, LinearScaleHandlesZeroBars)
     std::ostringstream os;
     chart.render(os);
     EXPECT_NE(os.str().find("zero"), std::string::npos);
+}
+
+// ---------------------------------------------------------------
+// JSON nesting limit.
+// ---------------------------------------------------------------
+
+std::string
+nested(std::size_t depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonDepth, AcceptsNestingUpToTheLimit)
+{
+    std::string error;
+    const auto doc = json::parse(nested(json::kMaxDepth), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    EXPECT_TRUE(doc->isArray());
+}
+
+TEST(JsonDepth, RejectsOneLevelMoreAsATypedError)
+{
+    std::string error;
+    EXPECT_FALSE(json::parse(nested(json::kMaxDepth + 1), &error));
+    EXPECT_NE(error.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << error;
+    // Offset of the first bracket past the limit.
+    EXPECT_NE(error.find("offset 256"), std::string::npos) << error;
+}
+
+TEST(JsonDepth, HostileLineFailsWithoutExhaustingTheStack)
+{
+    // ~400 KB of '[' once overflowed the recursive descent.
+    std::string error;
+    EXPECT_FALSE(json::parse("{\"config\":" + std::string(400000, '['),
+                             &error));
+    EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+    std::string objects;
+    for (int i = 0; i < 100000; ++i)
+        objects += "{\"a\":";
+    error.clear();
+    EXPECT_FALSE(json::parse(objects, &error));
+    EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------
+// ZeroBuffer: mapped, zero-filled, released exactly once.
+// ---------------------------------------------------------------
+
+TEST(ZeroBuffer, EmptyBufferIsUsable)
+{
+    ZeroBuffer empty(0);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_NE(empty.data(), nullptr);
+}
+
+TEST(ZeroBuffer, StartsZeroedAndIsWritable)
+{
+    constexpr std::size_t n = (std::size_t{1} << 20) + 3;
+    ZeroBuffer buf(n);
+    ASSERT_EQ(buf.size(), n);
+    for (std::size_t i = 0; i < n; i += 997)
+        ASSERT_EQ(buf.data()[i], 0u) << "byte " << i;
+    buf.data()[0] = 0xAB;
+    buf.data()[n - 1] = 0xCD;
+    EXPECT_EQ(buf.data()[0], 0xABu);
+    EXPECT_EQ(buf.data()[n - 1], 0xCDu);
+}
+
+TEST(ZeroBuffer, MoveTransfersTheMappingOnce)
+{
+    // Under ASan/valgrind a double munmap or a leaked mapping of the
+    // moved-from buffer would show here.
+    ZeroBuffer src(1 << 16);
+    src.data()[42] = 7;
+    std::uint8_t *const mapped = src.data();
+    ZeroBuffer dst(std::move(src));
+    EXPECT_EQ(dst.data(), mapped);
+    EXPECT_EQ(dst.size(), std::size_t{1} << 16);
+    EXPECT_EQ(dst.data()[42], 7u);
+    EXPECT_EQ(src.data(), nullptr);    // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(src.size(), 0u);
+    ZeroBuffer again(std::move(dst));
+    EXPECT_EQ(again.data()[42], 7u);
 }
 
 } // namespace

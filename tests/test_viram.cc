@@ -40,6 +40,26 @@ TEST(ViramMachine, PokePeekRoundTrip)
     EXPECT_EQ(m.peekWords(a, 4), data);
 }
 
+TEST(ViramMachine, FreshMachineReadsZeroDramAfterADirtyOne)
+{
+    // Full-size DRAM: glibc would recycle a freed 13 MiB chunk for
+    // the next machine, so zero DRAM must not depend on the allocator
+    // clearing it.
+    const ViramConfig cfg;
+    const std::size_t words = (cfg.memBytes + cfg.offchipBytes) / 4;
+    const std::vector<Word> dirty(1024, 0xDEADBEEFu);
+    for (int round = 0; round < 3; ++round) {
+        ViramMachine m(cfg);
+        const std::vector<Word> all = m.peekWords(0, words);
+        ASSERT_EQ(all.size(), words);
+        for (std::size_t i = 0; i < words; ++i)
+            ASSERT_EQ(all[i], 0u) << "round " << round << ", word " << i;
+        for (std::size_t w = 0; w + dirty.size() <= words;
+             w += 4 * dirty.size())
+            m.pokeWords(static_cast<Addr>(w * 4), dirty);
+    }
+}
+
 TEST(ViramMachine, AllocRespectsAlignmentAndBounds)
 {
     ViramMachine m(testConfig());
