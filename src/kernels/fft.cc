@@ -1,5 +1,6 @@
 #include "fft.hh"
 
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -20,6 +21,20 @@ twiddleTable(unsigned n)
                       static_cast<float>(std::sin(angle)));
     }
     return w;
+}
+
+const std::vector<cfloat> &
+cachedTwiddleTable(unsigned n)
+{
+    triarch_assert(isPowerOf2(n), "cached twiddles need n = 2^k, got ",
+                   n);
+    // One slot per power of two: a filled slot is never rebuilt, so
+    // the returned reference outlives later calls for other sizes.
+    static thread_local std::array<std::vector<cfloat>, 32> tables;
+    std::vector<cfloat> &table = tables[floorLog2(n)];
+    if (table.empty())
+        table = twiddleTable(n);
+    return table;
 }
 
 std::vector<cfloat>
@@ -59,13 +74,7 @@ fftRadix2(std::vector<cfloat> &data)
 {
     const unsigned n = static_cast<unsigned>(data.size());
     triarch_assert(isPowerOf2(n) && n >= 2, "radix-2 FFT needs n = 2^k");
-
-    static thread_local std::vector<cfloat> twiddles;
-    static thread_local unsigned twiddleN = 0;
-    if (twiddleN != n) {
-        twiddles = twiddleTable(n);
-        twiddleN = n;
-    }
+    const std::vector<cfloat> &twiddles = cachedTwiddleTable(n);
 
     bitReversePermute(data);
 
@@ -156,8 +165,7 @@ fftRadix4(std::vector<cfloat> &data)
     const unsigned n = static_cast<unsigned>(data.size());
     triarch_assert(isPowerOf2(n) && (floorLog2(n) % 2 == 0),
                    "radix-4 FFT needs n = 4^m, got n=", n);
-    const std::vector<cfloat> tw = twiddleTable(n);
-    radix4Strided(data, 0, 1, n, tw, n);
+    radix4Strided(data, 0, 1, n, cachedTwiddleTable(n), n);
 }
 
 void
@@ -175,7 +183,7 @@ fftMixed128(std::vector<cfloat> &data)
     fftRadix4(even);
     fftRadix4(odd);
 
-    static const std::vector<cfloat> tw = twiddleTable(n);
+    const std::vector<cfloat> &tw = cachedTwiddleTable(n);
     for (unsigned k = 0; k < 64; ++k) {
         const cfloat t = tw[k] * odd[k];
         data[k] = even[k] + t;

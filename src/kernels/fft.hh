@@ -28,6 +28,13 @@ using cfloat = std::complex<float>;
 /** Forward twiddle factors W_n^k = exp(-2*pi*i*k/n) for k in [0, n). */
 std::vector<cfloat> twiddleTable(unsigned n);
 
+/**
+ * twiddleTable(@p n) computed once per thread and size and kept for
+ * the thread's lifetime (the reference stays valid); @p n must be a
+ * power of two. The values are bit-identical to twiddleTable(n).
+ */
+const std::vector<cfloat> &cachedTwiddleTable(unsigned n);
+
 /** O(n^2) reference DFT with double-precision accumulation. */
 std::vector<cfloat> dftReference(const std::vector<cfloat> &in);
 

@@ -102,7 +102,7 @@ instrumentedFft(PpcMachine &machine, std::vector<cfloat> &data,
                 Addr base, bool inverse, bool altivec)
 {
     const unsigned n = static_cast<unsigned>(data.size());
-    static const auto twiddles = kernels::twiddleTable(128);
+    const auto &twiddles = kernels::cachedTwiddleTable(128);
     triarch_assert(n == 128, "instrumented FFT is 128-point");
 
     auto elemAddr = [base](unsigned i) { return base + i * 8; };

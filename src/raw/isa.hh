@@ -66,6 +66,8 @@ struct Instr
     std::uint8_t rs = 0;
     std::uint8_t rt = 0;
     std::int32_t imm = 0;
+
+    friend bool operator==(const Instr &, const Instr &) = default;
 };
 
 /**

@@ -1,6 +1,8 @@
 #include "kernels_raw.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "kernels/fft.hh"
 #include "raw/assembler.hh"
@@ -19,6 +21,43 @@ using kernels::cfloat;
 
 namespace
 {
+
+/**
+ * Load tile t with build(keys[t]), assembling each distinct program
+ * once: a mapping's tile programs differ only in a per-tile count,
+ * which most tiles share (the machine then shares their decoded
+ * copy as well).
+ */
+template <typename Build>
+void
+loadPrograms(RawMachine &machine, const std::vector<unsigned> &keys,
+             Build build)
+{
+    std::map<unsigned, std::vector<Instr>> programs;
+    for (unsigned t = 0; t < keys.size(); ++t) {
+        auto [it, fresh] = programs.try_emplace(keys[t]);
+        if (fresh)
+            it->second = build(keys[t]);
+        machine.setProgram(t, it->second);
+    }
+}
+
+/** Interleaved (re, im) words of the 128-point twiddle table,
+ *  conjugated for the inverse transform. */
+std::vector<Word>
+twiddleWords(bool inverse)
+{
+    const auto &tw = kernels::cachedTwiddleTable(128);
+    std::vector<Word> words(256);
+    for (unsigned k = 0; k < 128; ++k) {
+        words[2 * k] = floatToWord(tw[k].real());
+        words[2 * k + 1] =
+            floatToWord(inverse ? -tw[k].imag() : tw[k].imag());
+    }
+    return words;
+}
+
+} // namespace
 
 /**
  * Tile program for the corner turn: per block, receive 64x64 words
@@ -76,8 +115,6 @@ cornerTurnProgram(unsigned num_blocks)
     return as.finish();
 }
 
-} // namespace
-
 Cycles
 cornerTurnRaw(RawMachine &machine, const kernels::WordMatrix &src,
               kernels::WordMatrix &dst)
@@ -101,7 +138,7 @@ cornerTurnRaw(RawMachine &machine, const kernels::WordMatrix &src,
     std::vector<unsigned> blocksPerTile(tiles, 0);
     for (unsigned br = 0; br < grid; ++br) {
         const unsigned t = br % tiles;
-        ++blocksPerTile[t];
+        blocksPerTile[t] += grid;
         for (unsigned bc = 0; bc < grid; ++bc) {
             for (unsigned r = 0; r < edge; ++r) {
                 machine.dmaIn(t, t,
@@ -118,11 +155,9 @@ cornerTurnRaw(RawMachine &machine, const kernels::WordMatrix &src,
         }
     }
 
-    for (unsigned t = 0; t < tiles; ++t) {
+    for (unsigned t = 0; t < tiles; ++t)
         machine.setRoute(t, portEndpoint(t));
-        machine.setProgram(t,
-                           cornerTurnProgram(blocksPerTile[t] * grid));
-    }
+    loadPrograms(machine, blocksPerTile, cornerTurnProgram);
 
     setup.end();
     trace::TraceScope runScope("raw.ct.run", "raw",
@@ -373,6 +408,49 @@ emitFft128Local(Assembler &as, std::int32_t buf_local,
     }
 }
 
+std::vector<Instr>
+cslcProgram(unsigned sets)
+{
+    Assembler as;
+    if (sets == 0) {
+        as.halt();
+        return as.finish();
+    }
+
+    as.li(22, descLocal);
+    as.li(23, descLocal + static_cast<std::int32_t>(sets * descWords * 4));
+    Label subLoop = as.label();
+    as.bind(subLoop);
+
+    // Aux channels: copy in (bit-reversing) and transform.
+    as.lw(1, 22, 0);
+    emitCopyInBitrev(as, bufA0Local);
+    emitFft128Local(as, bufA0Local, twFwdLocal, true);
+    as.lw(1, 22, 4);
+    emitCopyInBitrev(as, bufA1Local);
+    emitFft128Local(as, bufA1Local, twFwdLocal, true);
+
+    for (unsigned m = 0; m < 2; ++m) {
+        as.lw(1, 22, static_cast<std::int32_t>(8 + m * 4));
+        emitCopyInBitrev(as, bufMLocal);
+        emitFft128Local(as, bufMLocal, twFwdLocal, true);
+
+        as.lw(1, 22, static_cast<std::int32_t>(16 + m * 8));
+        as.lw(2, 22, static_cast<std::int32_t>(20 + m * 8));
+        emitWeightApply(as);
+
+        emitFft128Local(as, bufMLocal, twInvLocal, false, true);
+        as.li(21, static_cast<std::int32_t>(floatToWord(1.0f / 128.0f)));
+        as.lw(1, 22, static_cast<std::int32_t>(32 + m * 4));
+        emitCopyOutScaled(as, bufMLocal);
+    }
+
+    as.addi(22, 22, descWords * 4);
+    as.bne(22, 23, subLoop);
+    as.halt();
+    return as.finish();
+}
+
 RawCslcResult
 cslcRaw(RawMachine &machine, const kernels::CslcConfig &cfg,
         const kernels::CslcInput &in,
@@ -425,21 +503,15 @@ cslcRaw(RawMachine &machine, const kernels::CslcConfig &cfg,
     }
 
     // Twiddle tables (forward and conjugate) into every tile's SRAM.
-    const auto tw = kernels::twiddleTable(128);
-    std::vector<Word> twF(256), twI(256);
-    for (unsigned k = 0; k < 128; ++k) {
-        twF[2 * k] = floatToWord(tw[k].real());
-        twF[2 * k + 1] = floatToWord(tw[k].imag());
-        twI[2 * k] = floatToWord(tw[k].real());
-        twI[2 * k + 1] = floatToWord(-tw[k].imag());
-    }
+    const std::vector<Word> twF = twiddleWords(false);
+    const std::vector<Word> twI = twiddleWords(true);
 
     // Per-tile sub-band descriptors and programs. With more than
     // one processing interval, sets from consecutive intervals are
     // handed out round-robin, as a continuously arriving input
     // queue would be (Section 4.3's load-balance argument).
     const unsigned totalSets = intervals * cfg.subBands;
-    unsigned maxSets = 0;
+    std::vector<unsigned> setsPerTile(tiles);
     for (unsigned t = 0; t < tiles; ++t) {
         std::vector<Word> desc;
         unsigned sets = 0;
@@ -460,55 +532,16 @@ cslcRaw(RawMachine &machine, const kernels::CslcConfig &cfg,
             desc.push_back(static_cast<Word>(outBase[0] + bandOff));
             desc.push_back(static_cast<Word>(outBase[1] + bandOff));
         }
-        maxSets = std::max(maxSets, sets);
+        setsPerTile[t] = sets;
 
         machine.pokeLocal(t, twFwdLocal, twF);
         machine.pokeLocal(t, twInvLocal, twI);
         if (!desc.empty())
             machine.pokeLocal(t, descLocal, desc);
-
-        Assembler as;
-        if (sets == 0) {
-            as.halt();
-            machine.setProgram(t, as.finish());
-            continue;
-        }
-
-        as.li(22, descLocal);
-        as.li(23, descLocal
-                  + static_cast<std::int32_t>(sets * descWords * 4));
-        Label subLoop = as.label();
-        as.bind(subLoop);
-
-        // Aux channels: copy in (bit-reversing) and transform.
-        as.lw(1, 22, 0);
-        emitCopyInBitrev(as, bufA0Local);
-        emitFft128Local(as, bufA0Local, twFwdLocal, true);
-        as.lw(1, 22, 4);
-        emitCopyInBitrev(as, bufA1Local);
-        emitFft128Local(as, bufA1Local, twFwdLocal, true);
-
-        for (unsigned m = 0; m < 2; ++m) {
-            as.lw(1, 22, static_cast<std::int32_t>(8 + m * 4));
-            emitCopyInBitrev(as, bufMLocal);
-            emitFft128Local(as, bufMLocal, twFwdLocal, true);
-
-            as.lw(1, 22, static_cast<std::int32_t>(16 + m * 8));
-            as.lw(2, 22, static_cast<std::int32_t>(20 + m * 8));
-            emitWeightApply(as);
-
-            emitFft128Local(as, bufMLocal, twInvLocal, false, true);
-            as.li(21, static_cast<std::int32_t>(
-                          floatToWord(1.0f / 128.0f)));
-            as.lw(1, 22, static_cast<std::int32_t>(32 + m * 4));
-            emitCopyOutScaled(as, bufMLocal);
-        }
-
-        as.addi(22, 22, descWords * 4);
-        as.bne(22, 23, subLoop);
-        as.halt();
-        machine.setProgram(t, as.finish());
     }
+    const unsigned maxSets =
+        *std::max_element(setsPerTile.begin(), setsPerTile.end());
+    loadPrograms(machine, setsPerTile, cslcProgram);
 
     setup.end();
     trace::TraceScope runScope("raw.cslc.run", "raw",
@@ -627,6 +660,39 @@ emitDrainScaled(Assembler &as, std::int32_t src)
 
 } // namespace
 
+std::vector<Instr>
+cslcStreamedProgram(unsigned sets)
+{
+    Assembler as;
+    if (sets == 0) {
+        as.halt();
+        return as.finish();
+    }
+
+    as.li(23, static_cast<std::int32_t>(sets));
+    Label subLoop = as.label();
+    as.bind(subLoop);
+
+    emitRecvBitrev(as, bufA0Local);
+    emitFft128Local(as, bufA0Local, twFwdLocal, true);
+    emitRecvBitrev(as, bufA1Local);
+    emitFft128Local(as, bufA1Local, twFwdLocal, true);
+
+    for (unsigned m = 0; m < 2; ++m) {
+        emitRecvBitrev(as, bufMLocal);
+        emitFft128Local(as, bufMLocal, twFwdLocal, true);
+        emitWeightApplyStreamed(as);
+        emitFft128Local(as, bufMLocal, twInvLocal, false, true);
+        as.li(21, static_cast<std::int32_t>(floatToWord(1.0f / 128.0f)));
+        emitDrainScaled(as, bufMLocal);
+    }
+
+    as.addi(23, 23, -1);
+    as.bne(23, 0, subLoop);
+    as.halt();
+    return as.finish();
+}
+
 RawCslcResult
 cslcRawStreamed(RawMachine &machine, const kernels::CslcConfig &cfg,
                 const kernels::CslcInput &in,
@@ -691,16 +757,10 @@ cslcRawStreamed(RawMachine &machine, const kernels::CslcConfig &cfg,
             static_cast<std::uint64_t>(cfg.subBands) * 128 * 8, "out");
     }
 
-    const auto tw = kernels::twiddleTable(128);
-    std::vector<Word> twF(256), twI(256);
-    for (unsigned k = 0; k < 128; ++k) {
-        twF[2 * k] = floatToWord(tw[k].real());
-        twF[2 * k + 1] = floatToWord(tw[k].imag());
-        twI[2 * k] = floatToWord(tw[k].real());
-        twI[2 * k + 1] = floatToWord(-tw[k].imag());
-    }
+    const std::vector<Word> twF = twiddleWords(false);
+    const std::vector<Word> twI = twiddleWords(true);
 
-    unsigned maxSets = 0;
+    std::vector<unsigned> setsPerTile(tiles);
     for (unsigned t = 0; t < tiles; ++t) {
         machine.pokeLocal(t, twFwdLocal, twF);
         machine.pokeLocal(t, twInvLocal, twI);
@@ -722,39 +782,11 @@ cslcRawStreamed(RawMachine &machine, const kernels::CslcConfig &cfg,
                 machine.dmaOut(t, outBase[m] + bandOff, 256);
             }
         }
-        maxSets = std::max(maxSets, sets);
-
-        Assembler as;
-        if (sets == 0) {
-            as.halt();
-            machine.setProgram(t, as.finish());
-            continue;
-        }
-
-        as.li(23, static_cast<std::int32_t>(sets));
-        Label subLoop = as.label();
-        as.bind(subLoop);
-
-        emitRecvBitrev(as, bufA0Local);
-        emitFft128Local(as, bufA0Local, twFwdLocal, true);
-        emitRecvBitrev(as, bufA1Local);
-        emitFft128Local(as, bufA1Local, twFwdLocal, true);
-
-        for (unsigned m = 0; m < 2; ++m) {
-            emitRecvBitrev(as, bufMLocal);
-            emitFft128Local(as, bufMLocal, twFwdLocal, true);
-            emitWeightApplyStreamed(as);
-            emitFft128Local(as, bufMLocal, twInvLocal, false, true);
-            as.li(21, static_cast<std::int32_t>(
-                          floatToWord(1.0f / 128.0f)));
-            emitDrainScaled(as, bufMLocal);
-        }
-
-        as.addi(23, 23, -1);
-        as.bne(23, 0, subLoop);
-        as.halt();
-        machine.setProgram(t, as.finish());
+        setsPerTile[t] = sets;
     }
+    const unsigned maxSets =
+        *std::max_element(setsPerTile.begin(), setsPerTile.end());
+    loadPrograms(machine, setsPerTile, cslcStreamedProgram);
 
     setup.end();
     trace::TraceScope runScope("raw.cslc_stream.run", "raw",
@@ -791,6 +823,56 @@ cslcRawStreamed(RawMachine &machine, const kernels::CslcConfig &cfg,
 // Beam steering.
 // ----------------------------------------------------------------
 
+std::vector<Instr>
+beamSteeringProgram(unsigned count, unsigned configs, unsigned shift)
+{
+    Assembler as;
+    if (count == 0) {
+        as.halt();
+        return as.finish();
+    }
+
+    as.li(6, 0);                                // config pointer
+    as.li(7, static_cast<std::int32_t>(configs * 16));
+    Label cfgLoop = as.label();
+    as.bind(cfgLoop);
+    as.lw(1, 6, 0);     // acc (pre-offset for this tile's slice)
+    as.lw(2, 6, 4);     // delta
+    as.lw(3, 6, 8);     // dwell offset
+    as.lw(4, 6, 12);    // bias
+
+    // The six-operation output body: 5 adds + 1 shift, with
+    // both table operands read straight from the network and
+    // the result sent straight back out (no loads or stores).
+    auto body = [&] {
+        as.add(1, 1, 2);                // add 1: acc += delta
+        as.add(5, regCsti, regCsti);    // add 2: coarse + fine
+        as.add(5, 5, 1);                // add 3: += acc
+        as.add(5, 5, 3);                // add 4: += dwell offset
+        as.add(5, 5, 4);                // add 5: += bias
+        as.sra(regCsto, 5, shift);      // shift and send
+    };
+
+    const unsigned unroll = 4;
+    const unsigned groups = count / unroll;
+    if (groups > 0) {
+        as.li(8, static_cast<std::int32_t>(groups));
+        Label elemLoop = as.label();
+        as.bind(elemLoop);
+        for (unsigned k = 0; k < unroll; ++k)
+            body();
+        as.addi(8, 8, -1);
+        as.bne(8, 0, elemLoop);
+    }
+    for (unsigned k = 0; k < count % unroll; ++k)
+        body();
+
+    as.addi(6, 6, 16);
+    as.bne(6, 7, cfgLoop);
+    as.halt();
+    return as.finish();
+}
+
 Cycles
 beamSteeringRaw(RawMachine &machine, const kernels::BeamConfig &cfg,
                 const kernels::BeamTables &tables,
@@ -816,6 +898,7 @@ beamSteeringRaw(RawMachine &machine, const kernels::BeamConfig &cfg,
         machine.allocGlobal(cfg.outputs() * 4ULL, "bs out");
 
     const unsigned configs = cfg.dwells * cfg.directions;
+    std::vector<unsigned> counts(tiles);
     for (unsigned t = 0; t < tiles; ++t) {
         const unsigned e0 = static_cast<unsigned>(
             static_cast<std::uint64_t>(t) * cfg.elements / tiles);
@@ -856,53 +939,11 @@ beamSteeringRaw(RawMachine &machine, const kernels::BeamConfig &cfg,
         }
         machine.pokeLocal(t, 0, cfgTable);
 
-        Assembler as;
-        if (count == 0) {
-            as.halt();
-            machine.setProgram(t, as.finish());
-            continue;
-        }
-
-        as.li(6, 0);                                // config pointer
-        as.li(7, static_cast<std::int32_t>(configs * 16));
-        Label cfgLoop = as.label();
-        as.bind(cfgLoop);
-        as.lw(1, 6, 0);     // acc (pre-offset for this tile's slice)
-        as.lw(2, 6, 4);     // delta
-        as.lw(3, 6, 8);     // dwell offset
-        as.lw(4, 6, 12);    // bias
-
-        // The six-operation output body: 5 adds + 1 shift, with
-        // both table operands read straight from the network and
-        // the result sent straight back out (no loads or stores).
-        auto body = [&] {
-            as.add(1, 1, 2);                // add 1: acc += delta
-            as.add(5, regCsti, regCsti);    // add 2: coarse + fine
-            as.add(5, 5, 1);                // add 3: += acc
-            as.add(5, 5, 3);                // add 4: += dwell offset
-            as.add(5, 5, 4);                // add 5: += bias
-            as.sra(regCsto, 5, cfg.shift);  // shift and send
-        };
-
-        const unsigned unroll = 4;
-        const unsigned groups = count / unroll;
-        if (groups > 0) {
-            as.li(8, static_cast<std::int32_t>(groups));
-            Label elemLoop = as.label();
-            as.bind(elemLoop);
-            for (unsigned k = 0; k < unroll; ++k)
-                body();
-            as.addi(8, 8, -1);
-            as.bne(8, 0, elemLoop);
-        }
-        for (unsigned k = 0; k < count % unroll; ++k)
-            body();
-
-        as.addi(6, 6, 16);
-        as.bne(6, 7, cfgLoop);
-        as.halt();
-        machine.setProgram(t, as.finish());
+        counts[t] = count;
     }
+    loadPrograms(machine, counts, [&](unsigned count) {
+        return beamSteeringProgram(count, configs, cfg.shift);
+    });
 
     setup.end();
     trace::TraceScope runScope("raw.bs.run", "raw",

@@ -95,6 +95,22 @@ Cycles beamSteeringRaw(RawMachine &machine,
                        const kernels::BeamTables &tables,
                        std::vector<std::int32_t> &out);
 
+// The tile programs behind the mappings above. Each is a function
+// of one per-tile count (plus per-cell constants), so a mapping
+// assembles each distinct program once per cell; exposed for the
+// decode tests.
+
+/** Corner turn over @p num_blocks 64x64 blocks. */
+std::vector<Instr> cornerTurnProgram(unsigned num_blocks);
+/** Cached-memory CSLC over @p sets sub-band sets. */
+std::vector<Instr> cslcProgram(unsigned sets);
+/** Stream-mode CSLC over @p sets sub-band sets. */
+std::vector<Instr> cslcStreamedProgram(unsigned sets);
+/** Beam steering of @p count elements over @p configs
+ *  (dwell, direction) pairs, shifting results right by @p shift. */
+std::vector<Instr> beamSteeringProgram(unsigned count, unsigned configs,
+                                       unsigned shift);
+
 /**
  * Emit an in-place radix-2 128-point FFT over a local-SRAM buffer of
  * interleaved complex floats; exposed for tests and the radix

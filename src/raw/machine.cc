@@ -103,15 +103,35 @@ RawMachine::setProgram(unsigned tile, std::vector<Instr> program)
     TileCold &c = cold[tile];
     TileHot &h = hot[tile];
     const bool wasHalted = h.halted;
-    c.program = std::move(program);
-    h.prog = c.program.data();
-    h.progLen = static_cast<std::uint32_t>(c.program.size());
+    // Content-intern: a tile loading a program another tile already
+    // holds shares that decoded copy instead of decoding its own.
+    std::shared_ptr<const DecodedProgram> decoded;
+    for (const TileCold &other : cold) {
+        if (other.program && other.program->matches(program)) {
+            decoded = other.program;
+            break;
+        }
+    }
+    if (!decoded) {
+        decoded = std::make_shared<const DecodedProgram>(
+            decodeProgram(program));
+    }
+    c.program = std::move(decoded);
+    h.prog = c.program->code.data();
+    h.progLen = c.program->size();
     h.pc = 0;
-    h.halted = c.program.empty();
+    h.halted = h.progLen == 0;
     if (wasHalted && !h.halted)
         ++liveTiles;
     else if (!wasHalted && h.halted)
         --liveTiles;
+}
+
+const DecodedProgram *
+RawMachine::decodedProgram(unsigned tile) const
+{
+    triarch_assert(tile < cfg.tiles(), "tile out of range");
+    return cold[tile].program.get();
 }
 
 void
@@ -269,25 +289,13 @@ RawMachine::stepTile(unsigned t, Cycles now)
     }
     triarch_assert(tile.pc < tile.progLen,
                    "tile ", t, " ran off its program");
-    const Instr &in = tile.prog[tile.pc];
-    const OpInfo info = opInfo(in.op);
+    const DecodedInstr &in = tile.prog[tile.pc];
 
     // Source operands: each $csti source pops one network word; the
-    // others are scoreboarded register reads.
-    unsigned pops = 0;
-    Cycles rdy = 0;
-    if (info.readsRs) {
-        if (in.rs == regCsti)
-            ++pops;
-        else if (in.rs != 0)
-            rdy = std::max(rdy, tile.ready[in.rs]);
-    }
-    if (info.readsRt) {
-        if (in.rt == regCsti)
-            ++pops;
-        else if (in.rt != 0)
-            rdy = std::max(rdy, tile.ready[in.rt]);
-    }
+    // others are scoreboarded register reads (decode maps unread and
+    // r0 operands to register 0, whose ready time is always 0).
+    const unsigned pops = in.pops;
+    const Cycles rdy = std::max(tile.ready[in.srcS], tile.ready[in.srcT]);
 
     // Network-input availability.
     if (pops > 0) {
@@ -338,7 +346,7 @@ RawMachine::stepTile(unsigned t, Cycles now)
     // If this instruction sends to a tile whose FIFO is full, block.
     // No wake cycle is knowable (the consumer frees a slot whenever
     // it happens to pop), so re-poll every cycle like the reference.
-    if (info.sendEligible && in.rd == regCsto && tile.route < 1000
+    if (in.sends && tile.route < 1000
         && hot[tile.route].inFifo.size() >= cfg.fifoCapacity) {
         ++_netStalls;
         tile.stallKind = TileStall::Net;
@@ -583,7 +591,7 @@ RawMachine::stepTile(unsigned t, Cycles now)
     }
 
     if (branched)
-        tile.pc = static_cast<unsigned>(in.imm);
+        tile.pc = in.target;
     else if (!tile.halted)
         ++tile.pc;
 
@@ -591,7 +599,7 @@ RawMachine::stepTile(unsigned t, Cycles now)
 
     if (debugTrace) [[unlikely]] {
         debugLog("raw tile ", t, " @", now, ": ",
-                 disassemble(in));
+                 disassemble(in.instr()));
     }
 
     // A retire with no pending stall window can keep going: as long
@@ -599,18 +607,12 @@ RawMachine::stepTile(unsigned t, Cycles now)
     // nothing else in the machine can observe the difference, so the
     // whole run executes in one call (event stepper only). The first
     // instruction's break test runs inline so streaming code (whose
-    // every instruction touches the network) skips the call.
+    // every instruction touches the network) skips the call; the
+    // sentinel past the program's end is never local.
     if (batching && !tile.halted && tile.stallUntil <= now + 1
-        && tile.pc < tile.progLen) {
-        const Instr &nx = tile.prog[tile.pc];
-        const OpInfo ni = opInfo(nx.op);
-        if (nx.op != Op::Dsend && nx.op != Op::Drecv
-            && !(ni.readsRs && nx.rs == regCsti)
-            && !(ni.readsRt && nx.rt == regCsti)
-            && !(ni.sendEligible && nx.rd == regCsto)) {
-            batchTile(t, now + 1);
-            return;
-        }
+        && tile.prog[tile.pc].local) {
+        batchTile(t, now + 1);
+        return;
     }
 
     // Next wake: immediately unless the retire scheduled a stall
@@ -642,165 +644,170 @@ void
 RawMachine::batchTile(unsigned t, Cycles cur)
 {
     TileHot &tile = hot[t];
+    // Everything the loop touches lives in locals: SRAM stores go
+    // through a byte pointer that may alias any member, so counters
+    // kept in the machine would be reloaded after every store.
+    const DecodedInstr *const prog = tile.prog;
+    std::uint32_t *const regs = tile.regs.data();
+    Cycles *const ready = tile.ready.data();
+    std::uint8_t *const sram = tile.sram;
+    const Addr sramBytes = cfg.sramBytes;
     const Cycles limit = cfg.maxCycles;
+    const Cycles intLat = cfg.intLatency;
+    const Cycles mulLat = cfg.mulLatency;
+    const Cycles fpLat = cfg.fpLatency;
+    const Cycles loadLat = cfg.loadLatency;
+    std::uint32_t pc = tile.pc;
+    std::uint64_t retired = 0, depCycles = 0, depEvents = 0;
+    std::uint64_t fpOps = 0, loadStores = 0;
+    bool halted = false;
+
     while (cur <= limit) {
-        triarch_assert(tile.pc < tile.progLen,
-                       "tile ", t, " ran off its program");
-        const Instr &in = tile.prog[tile.pc];
-        const OpInfo info = opInfo(in.op);
-        if (in.op == Op::Dsend || in.op == Op::Drecv)
-            break;
-        if ((info.readsRs && in.rs == regCsti)
-            || (info.readsRt && in.rt == regCsti))
-            break;
-        if (info.sendEligible && in.rd == regCsto)
+        const DecodedInstr &in = prog[pc];
+        if (!in.local)
             break;
 
-        Cycles rdy = 0;
-        if (info.readsRs && in.rs != 0)
-            rdy = std::max(rdy, tile.ready[in.rs]);
-        if (info.readsRt && in.rt != 0)
-            rdy = std::max(rdy, tile.ready[in.rt]);
+        const Cycles rdy = std::max(ready[in.srcS], ready[in.srcT]);
         if (rdy > cur) {
-            tcDep += rdy - cur;
+            depCycles += rdy - cur;
             hwSamp.addRange(0, cur, rdy);
-            ++_depStalls;
+            ++depEvents;
             cur = rdy;
         }
 
-        const auto rs = [&]() -> std::uint32_t {
-            return in.rs == 0 ? 0 : tile.regs[in.rs];
-        };
-        const auto rt = [&]() -> std::uint32_t {
-            return in.rt == 0 ? 0 : tile.regs[in.rt];
-        };
+        // Local instructions never read $csti, so the mapped sources
+        // carry the operand values (register 0 reads as zero).
+        const std::uint32_t rs = regs[in.srcS];
+        const std::uint32_t rt = regs[in.srcT];
         const auto wr = [&](std::uint32_t v, Cycles lat) {
-            if (in.rd != 0) {
-                tile.regs[in.rd] = v;
-                tile.ready[in.rd] = cur + lat;
-            }
+            regs[in.dst] = v;
+            ready[in.dst] = cur + lat;
         };
 
-        bool branched = false;
+        std::uint32_t next = pc + 1;
         switch (in.op) {
           case Op::Nop:
             break;
           case Op::Add:
-            wr(rs() + rt(), cfg.intLatency);
+            wr(rs + rt, intLat);
             break;
           case Op::Addi:
-            wr(rs() + static_cast<std::uint32_t>(in.imm),
-               cfg.intLatency);
+            wr(rs + static_cast<std::uint32_t>(in.imm), intLat);
             break;
           case Op::Sub:
-            wr(rs() - rt(), cfg.intLatency);
+            wr(rs - rt, intLat);
             break;
           case Op::Mul:
-            wr(rs() * rt(), cfg.mulLatency);
+            wr(rs * rt, mulLat);
             break;
           case Op::Sll:
-            wr(rs() << (in.imm & 31), cfg.intLatency);
+            wr(rs << (in.imm & 31), intLat);
             break;
           case Op::Sra:
-            wr(static_cast<std::uint32_t>(
-                   static_cast<std::int32_t>(rs()) >> (in.imm & 31)),
-               cfg.intLatency);
+            wr(static_cast<std::uint32_t>(static_cast<std::int32_t>(rs)
+                                          >> (in.imm & 31)),
+               intLat);
             break;
           case Op::Srl:
-            wr(rs() >> (in.imm & 31), cfg.intLatency);
+            wr(rs >> (in.imm & 31), intLat);
             break;
           case Op::And:
-            wr(rs() & rt(), cfg.intLatency);
+            wr(rs & rt, intLat);
             break;
           case Op::Or:
-            wr(rs() | rt(), cfg.intLatency);
+            wr(rs | rt, intLat);
             break;
           case Op::Xor:
-            wr(rs() ^ rt(), cfg.intLatency);
+            wr(rs ^ rt, intLat);
             break;
           case Op::Li:
-            wr(static_cast<std::uint32_t>(in.imm), cfg.intLatency);
+            wr(static_cast<std::uint32_t>(in.imm), intLat);
             break;
           case Op::FAdd:
-            wr(floatToWord(wordToFloat(rs()) + wordToFloat(rt())),
-               cfg.fpLatency);
-            ++_fpops;
+            wr(floatToWord(wordToFloat(rs) + wordToFloat(rt)), fpLat);
+            ++fpOps;
             break;
           case Op::FSub:
-            wr(floatToWord(wordToFloat(rs()) - wordToFloat(rt())),
-               cfg.fpLatency);
-            ++_fpops;
+            wr(floatToWord(wordToFloat(rs) - wordToFloat(rt)), fpLat);
+            ++fpOps;
             break;
           case Op::FMul:
-            wr(floatToWord(wordToFloat(rs()) * wordToFloat(rt())),
-               cfg.fpLatency);
-            ++_fpops;
+            wr(floatToWord(wordToFloat(rs) * wordToFloat(rt)), fpLat);
+            ++fpOps;
             break;
           case Op::Lw: {
-            const Addr addr =
-                rs() + static_cast<std::uint32_t>(in.imm);
+            const Addr addr = rs + static_cast<std::uint32_t>(in.imm);
             if (addr >= globalBase)
                 goto out;       // cached access: slow path bills it
-            triarch_assert(addr + 4 <= cfg.sramBytes,
+            triarch_assert(addr + 4 <= sramBytes,
                            "tile ", t, " lw outside SRAM @", addr);
             Word value = 0;
-            std::memcpy(&value, tile.sram + addr, 4);
-            wr(value, cfg.loadLatency);
-            ++_ldst;
+            std::memcpy(&value, sram + addr, 4);
+            wr(value, loadLat);
+            ++loadStores;
             break;
           }
           case Op::Sw: {
-            const Addr addr =
-                rs() + static_cast<std::uint32_t>(in.imm);
+            const Addr addr = rs + static_cast<std::uint32_t>(in.imm);
             if (addr >= globalBase)
                 goto out;
-            triarch_assert(addr + 4 <= cfg.sramBytes,
+            triarch_assert(addr + 4 <= sramBytes,
                            "tile ", t, " sw outside SRAM @", addr);
-            const Word value = rt();
-            std::memcpy(tile.sram + addr, &value, 4);
-            ++_ldst;
+            std::memcpy(sram + addr, &rt, 4);
+            ++loadStores;
             break;
           }
           case Op::Beq:
-            branched = rs() == rt();
+            if (rs == rt)
+                next = in.target;
             break;
           case Op::Bne:
-            branched = rs() != rt();
+            if (rs != rt)
+                next = in.target;
             break;
           case Op::Blt:
-            branched = static_cast<std::int32_t>(rs())
-                       < static_cast<std::int32_t>(rt());
+            if (static_cast<std::int32_t>(rs)
+                < static_cast<std::int32_t>(rt))
+                next = in.target;
             break;
           case Op::Bge:
-            branched = static_cast<std::int32_t>(rs())
-                       >= static_cast<std::int32_t>(rt());
+            if (static_cast<std::int32_t>(rs)
+                >= static_cast<std::int32_t>(rt))
+                next = in.target;
             break;
           case Op::Jump:
-            branched = true;
+            next = in.target;
             break;
           case Op::Halt:
-            tile.halted = true;
-            cold[t].haltCycle = cur;
-            --liveTiles;
-            ++tile.instrs;
-            tile.talliedThrough = cur + 1;
-            wake[t] = kNever;
-            if (cur + 1 > batchedHaltEnd)
-                batchedHaltEnd = cur + 1;
-            return;
+            ++retired;
+            halted = true;
+            goto out;
           case Op::Dsend:
           case Op::Drecv:
             triarch_panic("network op reached the local batch");
         }
 
-        if (branched)
-            tile.pc = static_cast<unsigned>(in.imm);
-        else
-            ++tile.pc;
-        ++tile.instrs;
+        pc = next;
+        ++retired;
         ++cur;
     }
 out:
+    tile.pc = pc;
+    tile.instrs += retired;
+    batchedInstrs += retired;
+    tcDep += depCycles;
+    _depStalls += depEvents;
+    _fpops += fpOps;
+    _ldst += loadStores;
+    if (halted) {
+        tile.halted = true;
+        cold[t].haltCycle = cur;
+        --liveTiles;
+        tile.talliedThrough = cur + 1;
+        wake[t] = kNever;
+        batchedHaltEnd = std::max(batchedHaltEnd, cur + 1);
+        return;
+    }
     // The instruction at `pc` issues at `cur` through the normal
     // path; every cycle below `cur` is accounted (busy via the
     // per-tile retire count, waits via tcDep).
@@ -982,10 +989,8 @@ RawMachine::coBatchEligible()
             continue;
         if (hot[t].route != ~0u && hot[t].route != portEndpoint(t))
             return false;
-        for (const Instr &in : cold[t].program) {
-            if (in.op == Op::Dsend || in.op == Op::Drecv)
-                return false;
-        }
+        if (cold[t].program->usesDynamicNetwork)
+            return false;
     }
 
     // Port side: every DMA-in segment on port p must feed tile p,
@@ -1533,7 +1538,7 @@ RawMachine::tileIdleAfterHalt(unsigned tile) const
     // A tile that never got a (non-empty) program never ran, so it
     // never *halted* — the constructor only parks it. Reporting the
     // whole run as idle-after-halt would poison imbalance metrics.
-    if (cold[tile].program.empty())
+    if (hot[tile].progLen == 0)
         return 0;
     if (!hot[tile].halted || _cycles.value() == 0)
         return 0;

@@ -43,6 +43,7 @@
 
 #include "mem/cache.hh"
 #include "raw/config.hh"
+#include "raw/decode.hh"
 #include "raw/isa.hh"
 #include "sim/cycle_account.hh"
 #include "sim/host_clock.hh"
@@ -83,8 +84,14 @@ class RawMachine
     /** Copy-free variant: read global DRAM straight into @p out. */
     void peekGlobalInto(Addr addr, std::span<Word> out) const;
 
-    /** Load a program into a tile (pc resets to 0). */
+    /** Load a program into a tile (pc resets to 0). The program is
+     *  decoded once here; tiles loading an identical program share
+     *  one decoded copy. */
     void setProgram(unsigned tile, std::vector<Instr> program);
+
+    /** The decoded program loaded into @p tile (nullptr before the
+     *  first setProgram()). */
+    const DecodedProgram *decodedProgram(unsigned tile) const;
 
     /** Host write into a tile's local SRAM. */
     void pokeLocal(unsigned tile, Addr byte_offset,
@@ -138,6 +145,15 @@ class RawMachine
     }
     std::uint64_t loadStores() const { return _ldst.value(); }
     std::uint64_t fpOps() const { return _fpops.value(); }
+
+    /**
+     * Instructions retired inside tile-local batches (D12), summed
+     * over every run() of this machine: a deterministic measure of
+     * how much of the run the batch executor covered. Always 0 under
+     * the reference stepper, so it stays out of the stats group,
+     * whose documents are stepper-identical.
+     */
+    std::uint64_t batchedInstructions() const { return batchedInstrs; }
 
     /** Instructions retired by one tile (load-balance studies). */
     std::uint64_t tileInstructions(unsigned tile) const;
@@ -230,7 +246,8 @@ class RawMachine
     {
         unsigned pc = 0;
         std::uint32_t progLen = 0;
-        const Instr *prog = nullptr;
+        /** progLen records plus the sentinel (decode.hh). */
+        const DecodedInstr *prog = nullptr;
         Cycles stallUntil = 0;
         TileStall stallKind = TileStall::None;
         bool halted = false;
@@ -248,15 +265,17 @@ class RawMachine
         std::uint8_t *sram = nullptr;
         mem::SetAssocCache *cache = nullptr;
         std::uint64_t instrs = 0;
-        std::array<std::uint32_t, numRegs> regs{};
-        std::array<Cycles, numRegs> ready{};
+        /** Architectural registers plus regSink. */
+        std::array<std::uint32_t, numRegs + 1> regs{};
+        std::array<Cycles, numRegs + 1> ready{};
         RingQueue<std::pair<Cycles, Word>> inFifo;  //!< arrival,value
         RingQueue<std::pair<Cycles, Word>> dynFifo; //!< dynamic net
     };
 
     struct TileCold
     {
-        std::vector<Instr> program;
+        /** Shared with every tile that loaded the same program. */
+        std::shared_ptr<const DecodedProgram> program;
         std::vector<std::uint8_t> sram;
         std::unique_ptr<mem::SetAssocCache> cache;
         Cycles haltCycle = 0;
@@ -382,6 +401,8 @@ class RawMachine
     /** Event-stepper runs may execute tile-local instruction runs in
      *  one stepTile call; always false for the reference stepper. */
     bool batching = false;
+    /** Backs batchedInstructions(). */
+    std::uint64_t batchedInstrs = 0;
     /** Latest halt-cycle + 1 executed inside a batch (or fused chain)
      *  this run; the event loop's cursor can exit behind it. */
     Cycles batchedHaltEnd = 0;

@@ -150,17 +150,26 @@ SocketServer::acceptLoop()
 void
 SocketServer::serveConnection(int fd)
 {
+    const std::string tooLong =
+        "request line exceeds " + std::to_string(maxRequestLineBytes)
+        + " bytes";
     std::string buffer;
+    // buffer[0, scanned) holds no newline: each read is searched
+    // once, so a long line costs linear time, not quadratic.
+    std::size_t scanned = 0;
+    // Dropping the tail of an over-long line up to its newline.
+    bool discarding = false;
     char chunk[4096];
     bool open = true;
     while (open) {
         // Serve every complete line already buffered before reading
         // more, so a stop() arriving mid-batch still answers the
         // requests that made it onto the wire.
-        std::size_t newline;
-        while ((newline = buffer.find('\n')) != std::string::npos) {
-            std::string line = buffer.substr(0, newline);
-            buffer.erase(0, newline + 1);
+        std::size_t start = 0, newline;
+        while ((newline = buffer.find('\n', scanned))
+               != std::string::npos) {
+            std::string line = buffer.substr(start, newline - start);
+            start = scanned = newline + 1;
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
             if (line.empty())
@@ -168,7 +177,9 @@ SocketServer::serveConnection(int fd)
             JobRequest request;
             std::string parseError;
             JobResponse response;
-            if (!parseJobRequest(line, &request, &parseError))
+            if (line.size() > maxRequestLineBytes)
+                response = badRequestResponse("", tooLong);
+            else if (!parseJobRequest(line, &request, &parseError))
                 response = badRequestResponse(line, parseError);
             else if (request.kind == RequestKind::Stats)
                 response = service.stats(request);
@@ -183,6 +194,19 @@ SocketServer::serveConnection(int fd)
         }
         if (!open)
             break;
+        buffer.erase(0, start);
+        scanned = buffer.size();
+        // The unterminated tail is already over the cap: answer now
+        // and drop the line instead of buffering it to its end.
+        if (buffer.size() > maxRequestLineBytes) {
+            const std::string reply =
+                writeJobResponse(badRequestResponse("", tooLong)) + "\n";
+            if (!writeAll(fd, reply))
+                break;
+            std::string().swap(buffer);     // release the capacity
+            scanned = 0;
+            discarding = true;
+        }
         if (stopping.load(std::memory_order_acquire))
             break;
 
@@ -202,7 +226,18 @@ SocketServer::serveConnection(int fd)
                     continue;
                 break;    // peer closed (or hard error)
             }
-            buffer.append(chunk, static_cast<std::size_t>(n));
+            const char *data = chunk;
+            std::size_t size = static_cast<std::size_t>(n);
+            if (discarding) {
+                const char *end =
+                    static_cast<const char *>(std::memchr(data, '\n', size));
+                if (!end)
+                    continue;
+                discarding = false;
+                size -= static_cast<std::size_t>(end + 1 - data);
+                data = end + 1;
+            }
+            buffer.append(data, size);
         }
     }
     ::close(fd);

@@ -5,7 +5,11 @@
  * and serves each connection from its own thread: read a line, parse
  * a triarch.job.v1 request, run it through the ExperimentService,
  * write the triarch.result.v1 response line. Malformed lines get a
- * bad_request error response instead of killing the connection.
+ * bad_request error response instead of killing the connection, and
+ * so do lines longer than maxRequestLineBytes: the server answers as
+ * soon as the cap is crossed, discards the rest of that line, and
+ * serves the next one, so one hostile line costs at most the cap in
+ * memory.
  *
  * stop() is the graceful half of SIGTERM handling: a self-pipe wakes
  * every connection thread out of poll(), each finishes the request
@@ -19,6 +23,7 @@
 #define TRIARCH_SERVE_SERVER_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -29,6 +34,14 @@
 
 namespace triarch::serve
 {
+
+/**
+ * Longest request line the server buffers, excluding the newline.
+ * A job.v1 request for all 15 cells of the paper config is about
+ * 950 bytes, so 1 MiB leaves room for any legitimate request while
+ * bounding what one connection can make the daemon hold.
+ */
+constexpr std::size_t maxRequestLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions
 {

@@ -32,7 +32,7 @@ enum Scratch : Vreg
 ViramFft128::ViramFft128(ViramMachine &machine) : mach(machine)
 {
     constexpr unsigned n = 128;
-    const auto tw = kernels::twiddleTable(n);
+    const auto &tw = kernels::cachedTwiddleTable(n);
 
     // Twiddle planes: per stage [twRe x64][twIm x64], forward and
     // inverse sets, resident in on-chip DRAM.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "kernels/fft.hh"
 #include "sim/rng.hh"
@@ -211,6 +212,25 @@ TEST(FftOpsModel, TwiddleTableUnitCircle)
     for (auto &w : tw)
         EXPECT_NEAR(std::abs(w), 1.0f, 1e-5);
     EXPECT_NEAR(tw[16].imag(), -1.0f, 1e-5);    // W^(n/4) = -i
+}
+
+TEST(FftOpsModel, CachedTwiddlesAreBitIdenticalAndStable)
+{
+    // Interleave sizes so a later fill cannot disturb an earlier
+    // table: each size keeps its own slot and its own address.
+    const std::vector<cfloat> &t128 = cachedTwiddleTable(128);
+    const std::vector<cfloat> &t64 = cachedTwiddleTable(64);
+    for (unsigned n : {2u, 64u, 128u, 1024u}) {
+        const std::vector<cfloat> fresh = twiddleTable(n);
+        const std::vector<cfloat> &cached = cachedTwiddleTable(n);
+        ASSERT_EQ(cached.size(), n);
+        EXPECT_EQ(std::memcmp(cached.data(), fresh.data(),
+                              n * sizeof(cfloat)),
+                  0)
+            << "n=" << n;
+    }
+    EXPECT_EQ(&cachedTwiddleTable(128), &t128);
+    EXPECT_EQ(&cachedTwiddleTable(64), &t64);
 }
 
 } // namespace

@@ -809,6 +809,83 @@ TEST(SocketServer, DeeplyNestedLineGetsABadRequestAndServesOn)
     service.drain();
 }
 
+TEST(SocketServer, OverLongLineGetsABadRequestAndServesOn)
+{
+    std::atomic<std::uint64_t> executions{0};
+    const auto registry = fakeRegistry(&executions);
+    study::ResultCache cache;
+    serve::ExperimentService service({}, &registry, &cache);
+
+    serve::ServerOptions serverOpts;
+    serverOpts.unixPath = testing::TempDir() + "/triarchd_long_"
+                          + std::to_string(::getpid()) + ".sock";
+    serve::SocketServer server(service, serverOpts);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, serverOpts.unixPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    auto sendLine = [fd](const std::string &text) {
+        std::size_t sent = 0;
+        while (sent < text.size()) {
+            const ssize_t n =
+                ::write(fd, text.data() + sent, text.size() - sent);
+            if (n <= 0)
+                return false;
+            sent += static_cast<std::size_t>(n);
+        }
+        return true;
+    };
+    auto readLine = [fd]() {
+        std::string line;
+        char ch = 0;
+        while (::read(fd, &ch, 1) == 1 && ch != '\n')
+            line.push_back(ch);
+        return line;
+    };
+
+    // Twice the cap, shaped like a request so only its length is
+    // wrong; the server answers once the cap is crossed and drops
+    // the rest of the line.
+    const std::string longLine =
+        "{\"id\":\"long\",\"pad\":\""
+        + std::string(2 * serve::maxRequestLineBytes, 'x') + "\"}\n";
+    ASSERT_TRUE(sendLine(longLine));
+    JobResponse rejected;
+    const std::string rejectedLine = readLine();
+    ASSERT_TRUE(serve::parseJobResponse(rejectedLine, &rejected, &error))
+        << error << " in: " << rejectedLine.substr(0, 200);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.error->code, JobErrorCode::BadRequest);
+    EXPECT_NE(rejected.error->message.find("exceeds"), std::string::npos)
+        << rejected.error->message;
+
+    // The same connection still serves a normal job.
+    const auto request = tinyRequest(
+        {{MachineId::PpcScalar, KernelId::CornerTurn}});
+    ASSERT_TRUE(sendLine(serve::writeJobRequest(request) + "\n"));
+    JobResponse served;
+    const std::string servedLine = readLine();
+    ASSERT_TRUE(serve::parseJobResponse(servedLine, &served, &error))
+        << error << " in: " << servedLine;
+    ASSERT_TRUE(served.ok()) << served.error->message;
+    EXPECT_EQ(served.id, request.id);
+    ASSERT_EQ(served.results.size(), 1u);
+    EXPECT_EQ(served.results[0].result.cycles, 100u);
+    EXPECT_EQ(executions.load(), 1u);
+    ::close(fd);
+
+    server.stop();
+    service.drain();
+}
+
 // --- the stats endpoint --------------------------------------------
 
 TEST(ServeProtocol, StatsRequestRoundTripsWithoutConfigOrCells)
