@@ -89,9 +89,7 @@ cornerTurnImagine(ImagineMachine &machine,
     const Cycles cycles = machine.completionTime();
 
     dst = kernels::WordMatrix(src.cols, src.rows);
-    auto words = machine.peekWords(
-        dstBase, static_cast<std::size_t>(src.rows) * src.cols);
-    std::copy(words.begin(), words.end(), dst.data.begin());
+    machine.peekWordsInto(dstBase, dst.data);
     return cycles;
 }
 

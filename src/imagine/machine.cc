@@ -67,10 +67,17 @@ ImagineMachine::pokeWords(Addr addr, std::span<const Word> words)
 std::vector<Word>
 ImagineMachine::peekWords(Addr addr, std::size_t count) const
 {
-    triarch_assert(addr + count * 4 <= dram.size(), "peek outside DRAM");
     std::vector<Word> out(count);
-    std::memcpy(out.data(), dram.data() + addr, count * 4);
+    peekWordsInto(addr, out);
     return out;
+}
+
+void
+ImagineMachine::peekWordsInto(Addr addr, std::span<Word> out) const
+{
+    triarch_assert(addr + out.size() * 4 <= dram.size(),
+                   "peek outside DRAM");
+    std::memcpy(out.data(), dram.data() + addr, out.size() * 4);
 }
 
 StreamRef

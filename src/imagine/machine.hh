@@ -97,6 +97,8 @@ class ImagineMachine
 
     void pokeWords(Addr addr, std::span<const Word> words);
     std::vector<Word> peekWords(Addr addr, std::size_t count) const;
+    /** Copy-free variant: read DRAM straight into @p out. */
+    void peekWordsInto(Addr addr, std::span<Word> out) const;
 
     /** Allocate / free an SRF stream. */
     StreamRef allocStream(unsigned words, const std::string &what);

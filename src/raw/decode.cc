@@ -48,6 +48,9 @@ decodeProgram(std::span<const Instr> program)
         d.sends = info.sendEligible && in.rd == regCsto;
         const bool dynamic = in.op == Op::Dsend || in.op == Op::Drecv;
         d.local = !dynamic && d.pops == 0 && !d.sends;
+        d.stream = in.rs != regCsti
+                   && ((in.op == Op::Sw && in.rt == regCsti)
+                       || (in.op == Op::Lw && in.rd == regCsto));
         d.target = in.imm >= 0 && static_cast<std::uint32_t>(in.imm)
                                       < size
                        ? static_cast<std::uint32_t>(in.imm)

@@ -55,6 +55,11 @@ struct DecodedInstr
      *  may run in the tile-local batch (global lw/sw still break
      *  the batch at run time). */
     std::uint8_t local : 1 = 0;
+    /** A stream instruction the fused chain loop may retire (D13):
+     *  `sw $csti, imm(rs)` or `lw $csto, imm(rs)` with the address in
+     *  a register, whose only outside effects are one pop from the
+     *  tile's input FIFO or one send on its static route. */
+    std::uint8_t stream : 1 = 0;
     /** Branch/jump destination: imm when it lies inside the
      *  program, otherwise the sentinel index (the program size). */
     std::uint32_t target = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 
 #include "kernels/fft.hh"
 #include "raw/assembler.hh"
@@ -23,21 +24,23 @@ namespace
 {
 
 /**
- * Load tile t with build(keys[t]), assembling each distinct program
- * once: a mapping's tile programs differ only in a per-tile count,
- * which most tiles share (the machine then shares their decoded
- * copy as well).
+ * Load tile t with build(keys[t]), assembling and decoding each
+ * distinct program once: a mapping's tile programs differ only in a
+ * per-tile count, which most tiles share, and tiles with equal keys
+ * share one decoded copy.
  */
 template <typename Build>
 void
 loadPrograms(RawMachine &machine, const std::vector<unsigned> &keys,
              Build build)
 {
-    std::map<unsigned, std::vector<Instr>> programs;
+    std::map<unsigned, std::shared_ptr<const DecodedProgram>> programs;
     for (unsigned t = 0; t < keys.size(); ++t) {
         auto [it, fresh] = programs.try_emplace(keys[t]);
-        if (fresh)
-            it->second = build(keys[t]);
+        if (fresh) {
+            it->second = std::make_shared<const DecodedProgram>(
+                decodeProgram(build(keys[t])));
+        }
         machine.setProgram(t, it->second);
     }
 }

@@ -215,10 +215,10 @@ cornerTurnViram(ViramMachine &machine, const kernels::WordMatrix &src,
 
     dst = kernels::WordMatrix(src.cols, src.rows);
     for (unsigned c = 0; c < src.cols; ++c) {
-        auto row = machine.peekWords(
-            dstBase + static_cast<Addr>(c) * dstPitch * 4, src.rows);
-        std::memcpy(&dst.data[static_cast<std::size_t>(c) * src.rows],
-                    row.data(), src.rows * 4);
+        machine.peekWordsInto(
+            dstBase + static_cast<Addr>(c) * dstPitch * 4,
+            std::span<Word>(dst.data).subspan(
+                static_cast<std::size_t>(c) * src.rows, src.rows));
     }
     return cycles;
 }

@@ -71,10 +71,16 @@ ViramMachine::pokeWords(Addr addr, std::span<const Word> words)
 std::vector<Word>
 ViramMachine::peekWords(Addr addr, std::size_t count) const
 {
-    checkAddr(addr, count * 4);
     std::vector<Word> out(count);
-    std::memcpy(out.data(), dram.data() + addr, count * 4);
+    peekWordsInto(addr, out);
     return out;
+}
+
+void
+ViramMachine::peekWordsInto(Addr addr, std::span<Word> out) const
+{
+    checkAddr(addr, out.size() * 4);
+    std::memcpy(out.data(), dram.data() + addr, out.size() * 4);
 }
 
 unsigned

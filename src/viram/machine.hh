@@ -66,6 +66,9 @@ class ViramMachine
     /** Host read of raw words from simulated DRAM. */
     std::vector<Word> peekWords(Addr addr, std::size_t count) const;
 
+    /** Copy-free variant: read DRAM straight into @p out. */
+    void peekWordsInto(Addr addr, std::span<Word> out) const;
+
     // ------------------------------------------------------------
     // Timed vector instruction set.
     // ------------------------------------------------------------

@@ -92,6 +92,9 @@ TEST(ImagineMachine, StreamLoadStoreRoundTrip)
     m.loadStream(s, MemPattern::sequential(src, 256));
     m.storeStream(s, MemPattern::sequential(dst, 256));
     EXPECT_EQ(m.peekWords(dst, 256), data);
+    std::vector<Word> into(256);
+    m.peekWordsInto(dst, into);
+    EXPECT_EQ(into, data);
     m.freeStream(s);
 }
 

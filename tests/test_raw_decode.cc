@@ -5,7 +5,7 @@
  * losslessly, the derived fields say what the interpreter used to
  * re-derive per step, tiles loading the same program share one
  * decoded copy, the sentinel traps "ran off its program" under both
- * steppers, and the batch-coverage counter is exact.
+ * steppers, and the batch and stream coverage counters are exact.
  */
 
 #include <gtest/gtest.h>
@@ -53,11 +53,17 @@ expectDecodes(const std::vector<Instr> &program, const DecodedProgram &d)
         dynamic = dynamic || net;
         EXPECT_EQ(static_cast<bool>(di.local),
                   !net && !popS && !popT && !sends);
+        const bool addrInReg = in.rs != regCsti;
+        EXPECT_EQ(static_cast<bool>(di.stream),
+                  addrInReg
+                      && ((in.op == Op::Sw && in.rt == regCsti)
+                          || (in.op == Op::Lw && in.rd == regCsto)));
         const bool inside = in.imm >= 0 && in.imm < size;
         EXPECT_EQ(di.target, inside ? static_cast<std::uint32_t>(in.imm)
                                     : d.size());
     }
     EXPECT_FALSE(d.code.back().local) << "the sentinel must not batch";
+    EXPECT_FALSE(d.code.back().stream) << "the sentinel must not stream";
     EXPECT_EQ(d.usesDynamicNetwork, dynamic);
     EXPECT_TRUE(d.matches(program));
 }
@@ -126,6 +132,29 @@ TEST(RawDecode, TilesLoadingTheSameProgramShareOneCopy)
     EXPECT_EQ(m.decodedProgram(0), m.decodedProgram(2));
     EXPECT_EQ(m.decodedProgram(1), five);
     expectDecodes(cslcProgram(5), *five);
+}
+
+TEST(RawDecode, DecodedProgramsLoadWithoutCopying)
+{
+    const auto decoded = std::make_shared<const DecodedProgram>(
+        decodeProgram(cornerTurnProgram(2)));
+    RawMachine m;
+    m.setProgram(0, decoded);
+    m.setProgram(5, decoded);
+    EXPECT_EQ(m.decodedProgram(0), decoded.get());
+    EXPECT_EQ(m.decodedProgram(5), decoded.get());
+    EXPECT_EQ(decoded.use_count(), 3);
+
+    // Loading the same instructions later interns against it, and
+    // reloading a holder releases its reference.
+    m.setProgram(7, cornerTurnProgram(2));
+    EXPECT_EQ(m.decodedProgram(7), decoded.get());
+    m.setProgram(0, cornerTurnProgram(1));
+    EXPECT_NE(m.decodedProgram(0), decoded.get());
+    EXPECT_EQ(decoded.use_count(), 3);
+
+    EXPECT_DEATH(m.setProgram(1, std::shared_ptr<const DecodedProgram>()),
+                 "tile 1 given no decoded program");
 }
 
 TEST(RawDecode, KernelTilesWithEqualWorkShareTheirProgram)
@@ -230,6 +259,40 @@ TEST(RawBatchCoverage, NetworkInstructionsNeverBatch)
     EXPECT_EQ(m.instructions(), 4u);
     EXPECT_EQ(m.batchedInstructions(), 1u);
     EXPECT_EQ(m.peekGlobal(out, 2), (std::vector<Word>{3, 3}));
+}
+
+TEST(RawStreamCoverage, PaperCornerTurnStreamsEveryStreamInstruction)
+{
+    // 1024 x 1024 words: one $csti store and one $csto load per word,
+    // 2,097,152 of the cell's 2,491,936 instructions. Every one of
+    // them retires in the co-batch's fused stream loop; the rest is
+    // loop overhead, nearly all of it in tile-local batches.
+    kernels::WordMatrix src(1024, 1024);
+    kernels::fillMatrix(src, 1);
+    RawConfig cfg;
+    cfg.stepper = RawStepper::Event;
+    RawMachine m(cfg);
+    kernels::WordMatrix dst;
+    cornerTurnRaw(m, src, dst);
+    EXPECT_TRUE(kernels::isTransposeOf(src, dst));
+    EXPECT_EQ(m.instructions(), 2'491'936u);
+    EXPECT_EQ(m.streamedInstructions(), 2'097'152u);
+    // All but each tile's first instruction, which hands over.
+    EXPECT_EQ(m.batchedInstructions(), 394'768u);
+}
+
+TEST(RawStreamCoverage, ReferenceStepperNeverStreams)
+{
+    kernels::WordMatrix src(1024, 1024);
+    kernels::fillMatrix(src, 1);
+    RawConfig cfg;
+    cfg.stepper = RawStepper::Reference;
+    RawMachine m(cfg);
+    kernels::WordMatrix dst;
+    cornerTurnRaw(m, src, dst);
+    EXPECT_EQ(m.instructions(), 2'491'936u);
+    EXPECT_EQ(m.streamedInstructions(), 0u);
+    EXPECT_EQ(m.batchedInstructions(), 0u);
 }
 
 } // namespace

@@ -12,7 +12,10 @@
 
 #include <sstream>
 
+#include "study/config_check.hh"
+#include "study/fuzz.hh"
 #include "study/machine_info.hh"
+#include "study/parallel.hh"
 #include "study/perf_model.hh"
 #include "study/report.hh"
 
@@ -273,6 +276,46 @@ TEST_F(PaperShape, MeasuredCyclesRespectModelBounds)
                   beamSteeringBound(machine, cfg.beam).cycles)
             << machineName(machine);
     }
+}
+
+TEST(PerfModel, FuzzConfigsRespectModelBounds)
+{
+    // The same property over every valid config the seed-11 fuzz
+    // sweep enumerates (boundary set plus random configs): no
+    // research-machine cell beats its Section 2.5 lower bound at any
+    // problem shape or machine parameterization.
+    std::vector<Cell> cells;
+    for (MachineId machine : researchMachines()) {
+        for (KernelId kernel : allKernels())
+            cells.push_back({machine, kernel});
+    }
+    FuzzOptions opts;
+    opts.seed = 11;
+    unsigned configs = 0;
+    for (const StudyConfig &cfg : enumerateFuzzConfigs(opts)) {
+        if (validateConfig(cfg))
+            continue;
+        ++configs;
+        SCOPED_TRACE(describeConfig(cfg));
+        ParallelRunner runner(cfg, 2, nullptr, ParallelRunner::noCache());
+        for (const RunResult &r : runner.runCells(cells)) {
+            Cycles bound = 0;
+            switch (r.kernel) {
+              case KernelId::CornerTurn:
+                bound = cornerTurnBound(r.machine, cfg.matrixSize).cycles;
+                break;
+              case KernelId::Cslc:
+                bound = cslcBound(r.machine, cfg.cslc).cycles;
+                break;
+              case KernelId::BeamSteering:
+                bound = beamSteeringBound(r.machine, cfg.beam).cycles;
+                break;
+            }
+            EXPECT_GE(r.cycles, bound)
+                << machineName(r.machine) << " / " << kernelName(r.kernel);
+        }
+    }
+    EXPECT_GE(configs, 40u) << "fuzz config set shrank unexpectedly";
 }
 
 TEST_F(PaperShape, Table3WithinFactorTwoOfPaper)

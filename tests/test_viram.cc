@@ -38,6 +38,9 @@ TEST(ViramMachine, PokePeekRoundTrip)
     std::vector<Word> data{1, 2, 3, 4};
     m.pokeWords(a, data);
     EXPECT_EQ(m.peekWords(a, 4), data);
+    std::vector<Word> into(3);
+    m.peekWordsInto(a + 4, into);
+    EXPECT_EQ(into, (std::vector<Word>{2, 3, 4}));
 }
 
 TEST(ViramMachine, FreshMachineReadsZeroDramAfterADirtyOne)
