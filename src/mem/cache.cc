@@ -18,105 +18,65 @@ SetAssocCache::SetAssocCache(const CacheConfig &cache_config)
     numSets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
     triarch_assert(isPowerOf2(numSets), "set count must be 2^n");
     lineShift = floorLog2(cfg.lineBytes);
-    setShift = floorLog2(numSets);
-    tags.assign(numSets * cfg.assoc, ~Addr{0});
-    lastUse.assign(numSets * cfg.assoc, 0);
-    flags.assign(numSets * cfg.assoc, 0);
-    wayMemo.assign(numSets, {});
+    slots.assign(numSets * cfg.assoc, kInvalid);
 
     group.addScalar("hits", &_hits, "cache hits");
     group.addScalar("misses", &_misses, "cache misses");
     group.addScalar("writebacks", &_writebacks, "dirty evictions");
 }
 
-std::uint64_t
-SetAssocCache::setOf(Addr addr) const
-{
-    return (addr >> lineShift) & (numSets - 1);
-}
-
-Addr
-SetAssocCache::tagOf(Addr addr) const
-{
-    return addr >> (lineShift + setShift);
-}
-
 CacheResult
 SetAssocCache::access(Addr addr, bool write)
 {
-    const std::uint64_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
-    const std::uint64_t base = set * cfg.assoc;
-    ++useClock;
+    ++_scans;
+    const Addr line = addr >> lineShift;
+    Addr *set = &slots[(line & (numSets - 1)) * cfg.assoc];
 
-    // Invalid ways hold the ~0 tag sentinel (no simulated address
-    // reaches it), so the hit scan is a pure tag compare.
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (tags[base + w] == tag) {
-            lastUse[base + w] = useClock;
-            if (write)
-                flags[base + w] = 1;
-            ++_hits;
-            wayMemo[set] = {addr >> lineShift,
-                            static_cast<std::uint32_t>(base + w)};
-            return {true, std::nullopt};
+    unsigned w = 0;
+    while (w < cfg.assoc && (set[w] | 1) != (line << 1 | 1))
+        ++w;
+
+    CacheResult result{w < cfg.assoc, std::nullopt};
+    Addr front = line << 1 | (write ? 1 : 0);
+    if (result.hit) {
+        ++_hits;
+        front |= set[w] & 1;
+    } else {
+        // True LRU with invalid slots first: the last slot holds the
+        // least recently used line, or an invalid one (clean) if the
+        // set is not full.
+        ++_misses;
+        w = cfg.assoc - 1;
+        if (set[w] & 1) {
+            ++_writebacks;
+            result.writebackAddr = set[w] >> 1 << lineShift;
         }
     }
 
-    ++_misses;
-
-    // True LRU with invalid ways first: invalid ways keep a zero
-    // stamp and valid ways are stamped >= 1, so the earliest-minimum
-    // scan lands on the first invalid way when one exists and on the
-    // least recently used line otherwise.
-    unsigned victim = 0;
-    std::uint64_t oldest = lastUse[base];
-    for (unsigned w = 1; w < cfg.assoc; ++w) {
-        if (lastUse[base + w] < oldest) {
-            oldest = lastUse[base + w];
-            victim = w;
-        }
-    }
-
-    CacheResult result{false, std::nullopt};
-    if (flags[base + victim]) {
-        // Only a resident line can be dirty, so no validity check.
-        ++_writebacks;
-        const Addr victimAddr =
-            (tags[base + victim] * numSets + set) * cfg.lineBytes;
-        result.writebackAddr = victimAddr;
-    }
-
-    tags[base + victim] = tag;
-    lastUse[base + victim] = useClock;
-    flags[base + victim] = write ? 1 : 0;
-    wayMemo[set] = {addr >> lineShift,
-                    static_cast<std::uint32_t>(base + victim)};
+    // Move (or install) the line at the front; the lines that were
+    // more recent than it each age by one slot.
+    std::copy_backward(set, set + w, set + w + 1);
+    set[0] = front;
     return result;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    const std::uint64_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
-    const std::uint64_t base = set * cfg.assoc;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (tags[base + w] == tag)
-            return true;
-    }
-    return false;
+    const Addr line = addr >> lineShift;
+    const auto set = slots.begin()
+                     + static_cast<std::ptrdiff_t>(
+                         (line & (numSets - 1)) * cfg.assoc);
+    return std::any_of(set, set + cfg.assoc, [line](Addr slot) {
+        return (slot | 1) == (line << 1 | 1);
+    });
 }
 
 void
 SetAssocCache::flush()
 {
-    std::fill(tags.begin(), tags.end(), ~Addr{0});
-    std::fill(lastUse.begin(), lastUse.end(), 0);
-    std::fill(flags.begin(), flags.end(), std::uint8_t{0});
-    // A matching way memo is a proof of residency, and nothing is
-    // resident any more.
-    std::fill(wayMemo.begin(), wayMemo.end(), WayMemo{});
+    std::fill(slots.begin(), slots.end(), kInvalid);
+    _scans = 0;
 }
 
 Tlb::Tlb(std::string tlb_name, unsigned tlb_entries, Addr page_bytes,

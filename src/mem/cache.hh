@@ -8,13 +8,13 @@
  * and reports the dirty victim, and the owning machine model charges
  * whatever latency its memory system implies.
  *
- * Tag state is stored as parallel arrays (tags / lastUse / flags)
- * rather than an array of line structs: the way scan on every access
- * touches only the tag column, and the span fast path (D13) re-probes
- * each set's most recently touched line through accessFast(), which
- * skips the scan entirely. The per-set way memo can never point at a
- * replaced line: every eviction happens inside access(), which
- * rewrites the set's memo with the line it installs.
+ * Each set keeps its resident lines in recency order, most recently
+ * used first, one word per slot: the line address and its dirty bit.
+ * The order is the whole replacement state: a hit moves its line to
+ * slot 0, a miss evicts the last slot (invalid slots sit behind all
+ * valid ones, so they are filled first) and installs the new line at
+ * slot 0. No way index or use stamp exists, so the span fast path
+ * (D13) is just "slot 0 holds this line" — see accessFast().
  */
 
 #ifndef TRIARCH_MEM_CACHE_HH
@@ -62,30 +62,21 @@ class SetAssocCache
     CacheResult access(Addr addr, bool write);
 
     /**
-     * Way-predicted hit fast path (D13): if @p addr falls on the
-     * line its set most recently hit or installed, apply the exact
-     * hit effects of access() — LRU stamp, dirty flag, hit counter —
-     * and return true. Otherwise leave all state unchanged and
-     * return false so the caller falls back to access().
-     *
-     * Exact by construction: the way memo is only written by
-     * access() pointing at a line it just proved (or made) resident,
-     * and any eviction in a set rewrites that set's memo with the
-     * newly installed line, so a matching memo is a proof of
-     * residency.
+     * MRU hit fast path (D13): if @p addr falls on the line in slot 0
+     * of its set, apply the exact hit effects of access() — dirty
+     * flag and hit counter; the line is already most recent, so the
+     * order does not change — and return true. Otherwise leave all
+     * state unchanged and return false so the caller falls back to
+     * access().
      */
     bool
     accessFast(Addr addr, bool write)
     {
-        const Addr lineAddr = addr >> lineShift;
-        const std::uint64_t set = lineAddr & (numSets - 1);
-        const WayMemo &memo = wayMemo[set];
-        if (lineAddr != memo.lineAddr)
+        const Addr line = addr >> lineShift;
+        Addr &front = slots[(line & (numSets - 1)) * cfg.assoc];
+        if ((front | 1) != (line << 1 | 1))
             return false;
-        ++useClock;
-        lastUse[memo.slot] = useClock;
-        if (write)
-            flags[memo.slot] = 1;
+        front |= write ? 1 : 0;
         ++_hits;
         return true;
     }
@@ -93,12 +84,18 @@ class SetAssocCache
     /** Probe without changing any state. */
     bool contains(Addr addr) const;
 
-    /** Invalidate everything; dirty lines are dropped silently. */
+    /** Invalidate everything and restart scans(); dirty lines are
+     *  dropped silently. */
     void flush();
 
     std::uint64_t hits() const { return _hits.value(); }
     std::uint64_t misses() const { return _misses.value(); }
     std::uint64_t writebacks() const { return _writebacks.value(); }
+    /** access() calls since construction or the last flush(): the
+     *  accesses accessFast() did not answer. Deterministic, but not a
+     *  stats.v1 counter, because the two memory models (D13) reach
+     *  access() for different accesses. */
+    std::uint64_t scans() const { return _scans; }
     double
     missRate() const
     {
@@ -110,33 +107,20 @@ class SetAssocCache
     const CacheConfig &config() const { return cfg; }
 
   private:
-    std::uint64_t setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-
     CacheConfig cfg;
     std::uint64_t numSets;
-    /** Geometry is power-of-two (asserted in the constructor), so
-     *  set/tag extraction is shift-and-mask — this sits on every
-     *  simulated load/store, where 64-bit division is measurable. */
+    /** log2(lineBytes): the line address is a shift, and the set is
+     *  its low bits — this sits on every simulated load/store. */
     unsigned lineShift = 0;
-    unsigned setShift = 0;
-    /** numSets x assoc, row-major; ~0 = invalid (the sentinel is out
-     *  of reach of any simulated address). */
-    std::vector<Addr> tags;
-    /** LRU stamps, same layout; 0 = invalid way (stamps start at 1),
-     *  which folds invalid-first victim choice into the LRU argmin. */
-    std::vector<std::uint64_t> lastUse;
-    std::vector<std::uint8_t> flags;    //!< 1 = dirty, same layout
-
-    /** The set's most recently hit or installed line, for the
-     *  accessFast() way prediction. */
-    struct WayMemo
-    {
-        Addr lineAddr = ~Addr{0};   //!< addr >> lineShift
-        std::uint32_t slot = 0;     //!< set * assoc + way
-    };
-    std::vector<WayMemo> wayMemo;       //!< one per set
-    std::uint64_t useClock = 0;
+    /** An invalid slot: clean, and its line is out of reach of any
+     *  simulated address. */
+    static constexpr Addr kInvalid = ~Addr{1};
+    /** numSets x assoc slots, each set most recently used first; a
+     *  slot is (addr >> lineShift) << 1 | dirty. One word per slot
+     *  makes the shift on a miss a single move (a parallel dirty
+     *  array needs two). */
+    std::vector<Addr> slots;
+    std::uint64_t _scans = 0;
 
     stats::StatGroup group;
     stats::Scalar _hits;

@@ -59,8 +59,8 @@ PpcMachine::memAccess(Addr addr, bool write, bool charge_hit)
     // hits), so the epoch samples are mode-identical.
     hwSamp.addAt(0, static_cast<Cycles>(now));
     if (r1.writebackAddr) {
-        // Dirty L1 victim moves into L2 (and possibly onward). A
-        // way-predicted L2 hit (span mode) has no writeback.
+        // Dirty L1 victim moves into L2 (and possibly onward). An
+        // MRU L2 hit (span mode) has no writeback.
         if (!(spanMem && l2.accessFast(*r1.writebackAddr, true))) {
             auto rwb = l2.access(*r1.writebackAddr, true);
             if (!rwb.hit && rwb.writebackAddr)
@@ -69,18 +69,9 @@ PpcMachine::memAccess(Addr addr, bool write, bool charge_hit)
         }
     }
 
-    if (spanMem && l2.accessFast(addr, false)) {
-        const double l2Stall =
-            charge_hit ? static_cast<double>(cfg.l2HitCycles)
-                       : static_cast<double>(cfg.storeL2HitCycles);
-        hwSamp.addRange(1, static_cast<Cycles>(now),
-                        static_cast<Cycles>(now + l2Stall));
-        now += l2Stall;
-        account.charge(stats::CycleCategory::CacheStall, l2Stall);
-        _memStall += cfg.l2HitCycles;
-        return;
-    }
-    auto r2 = l2.access(addr, false);
+    mem::CacheResult r2{true, std::nullopt};
+    if (!(spanMem && l2.accessFast(addr, false)))
+        r2 = l2.access(addr, false);
     if (r2.hit) {
         const double l2Stall =
             charge_hit ? static_cast<double>(cfg.l2HitCycles)

@@ -82,7 +82,7 @@ class PpcMachine
     }
 
     // The load/store fast paths live in the header so the span-mode
-    // way-predicted L1 hit — the per-element common case in
+    // MRU L1 hit — the per-element common case in
     // streaming kernels — is a handful of inlined instructions;
     // misses (and reference mode) fall into the out-of-line cache
     // walk.
@@ -92,9 +92,9 @@ class PpcMachine
     load(Addr addr)
     {
         ++_loads;
-        // L1 hit on the set's memoized line: accessFast applies the
-        // exact hit effects (LRU stamp, hit counter), and the hit
-        // charge matches the scan path below.
+        // L1 hit on the set's most recent line: accessFast applies
+        // the exact hit effects (hit counter), and the hit charge
+        // matches the scan path below.
         if (spanMem && l1.accessFast(addr, false)) {
             now += static_cast<double>(cfg.l1HitCycles);
             return;
@@ -179,6 +179,10 @@ class PpcMachine
 
     std::uint64_t l1Misses() const { return l1.misses(); }
     std::uint64_t l2Misses() const { return l2.misses(); }
+    /** Full set scans (SetAssocCache::scans()) since resetTiming():
+     *  the accesses the span-mode MRU fast path did not answer. */
+    std::uint64_t l1Scans() const { return l1.scans(); }
+    std::uint64_t l2Scans() const { return l2.scans(); }
     std::uint64_t fsbWords() const { return fsb.wordsMoved(); }
     std::uint64_t memStallCycles() const { return _memStall.value(); }
 
@@ -200,7 +204,7 @@ class PpcMachine
 
     stats::CycleAccount account;
     /** Epoch channels sampled only on the memAccess miss paths, so
-     *  span-mode way-predicted L1 hits (which skip memAccess) cannot
+     *  span-mode MRU L1 hits (which skip memAccess) cannot
      *  diverge from reference mode (D13). */
     hw::EpochSampler hwSamp{{"l1_miss", "cache_stall", "dram_stall"}};
 

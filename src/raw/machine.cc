@@ -480,9 +480,8 @@ RawMachine::stepTile(unsigned t, Cycles now)
             triarch_assert(off + 4 <= global.size(),
                            "tile ", t, " lw outside global DRAM");
             std::memcpy(&value, global.data() + off, 4);
-            // Way-predicted hit fast path (D13): exact by
-            // construction, so no mode gate — a matching memo is a
-            // proof of residency and a hit charges nothing extra.
+            // MRU hit fast path (D13): exact by construction, so
+            // no mode gate — a hit charges nothing extra.
             if (!tile.cache->accessFast(addr, false)) {
                 auto res = tile.cache->access(addr, false);
                 if (!res.hit) {
@@ -531,8 +530,8 @@ RawMachine::stepTile(unsigned t, Cycles now)
             triarch_assert(off + 4 <= global.size(),
                            "tile ", t, " sw outside global DRAM");
             std::memcpy(global.data() + off, &value, 4);
-            // Way-predicted hit fast path (D13): exact, no mode
-            // gate — a store hit stalls nothing.
+            // MRU hit fast path (D13): exact, no mode gate — a
+            // store hit stalls nothing.
             if (!tile.cache->accessFast(addr, true)) {
                 auto res = tile.cache->access(addr, true);
                 if (!res.hit) {

@@ -107,7 +107,13 @@ class CycleAccount
 {
   public:
     /** Accumulate @p cycles (>= 0, panics otherwise) into @p c. */
-    void charge(CycleCategory c, double cycles);
+    void
+    charge(CycleCategory c, double cycles)
+    {
+        if (!(cycles >= 0.0)) [[unlikely]]
+            negativeCharge(c, cycles);
+        acc[static_cast<unsigned>(c)] += cycles;
+    }
 
     double charged(CycleCategory c) const;
 
@@ -135,6 +141,10 @@ class CycleAccount
     CycleBreakdown finalizeScaled(std::uint64_t total) const;
 
   private:
+    /** The panic behind charge()'s assert, kept off the hot path. */
+    [[noreturn, gnu::cold]] static void negativeCharge(CycleCategory c,
+                                                       double cycles);
+
     std::array<double, kNumCycleCategories> acc{};
 };
 

@@ -135,10 +135,8 @@ EpochSampler::reset()
 }
 
 void
-EpochSampler::addRange(std::size_t channel, Cycles start, Cycles end)
+EpochSampler::splitRange(std::size_t channel, Cycles start, Cycles end)
 {
-    if (end <= start)
-        return;
     fit(end - 1);
     auto &s = slots[channel];
     const std::size_t first = start >> shift;

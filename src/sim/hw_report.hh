@@ -177,7 +177,20 @@ class EpochSampler
 
     /** Record one event per cycle of [@p start, @p end) on
      *  @p channel, split exactly across the epochs it covers. */
-    void addRange(std::size_t channel, Cycles start, Cycles end);
+    void
+    addRange(std::size_t channel, Cycles start, Cycles end)
+    {
+        if (end <= start)
+            return;
+        // Most ranges (a stall, an operand wait) fall inside one
+        // epoch of the current length.
+        const std::size_t slot = start >> shift;
+        if (slot == ((end - 1) >> shift) && slot < kEpochSlots) {
+            slots[channel][slot] += end - start;
+            return;
+        }
+        splitRange(channel, start, end);
+    }
 
     /** Forget all samples (channel names are kept); the machines'
      *  resetTiming() calls this so a kernel starts a fresh timeline. */
@@ -203,6 +216,10 @@ class EpochSampler
 
     /** Double the epoch length: merge slots pairwise. */
     void grow();
+
+    /** addRange() for a non-empty range that crosses an epoch
+     *  boundary or the current capacity. */
+    void splitRange(std::size_t channel, Cycles start, Cycles end);
 
     unsigned shift = 0;         //!< epoch length = 1 << shift
     std::vector<std::string> names;

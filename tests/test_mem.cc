@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/port.hh"
+#include "sim/rng.hh"
 
 namespace triarch::mem
 {
@@ -213,6 +217,187 @@ TEST(Cache, StreamingWorkloadMissesOncePerLine)
         cache.access(a, false);
     EXPECT_EQ(cache.misses(), 512u / 32u);
     EXPECT_EQ(cache.hits(), 512u / 4u - 512u / 32u);
+}
+
+/**
+ * Independent oracle for SetAssocCache: true LRU kept the way the
+ * cache used to keep it — per-way tag, use-stamp and dirty arrays,
+ * the victim the earliest-minimum stamp (an invalid way has stamp 0,
+ * so it is filled first). It shares no code or layout with the
+ * recency-ordered sets, so a replacement mistake in the cache shows
+ * up as a disagreement here.
+ */
+class StampLruCache
+{
+  public:
+    explicit StampLruCache(const CacheConfig &c)
+        : assoc(c.assoc), lineBytes(c.lineBytes),
+          sets(c.sizeBytes / (c.lineBytes * c.assoc)),
+          tags(sets * assoc), stamps(sets * assoc), dirty(sets * assoc)
+    {
+        flush();
+    }
+
+    CacheResult
+    access(Addr addr, bool write)
+    {
+        const Addr line = addr / lineBytes;
+        const std::size_t base = line % sets * assoc;
+        ++clock;
+        for (std::size_t w = base; w < base + assoc; ++w) {
+            if (tags[w] == line) {
+                stamps[w] = clock;
+                dirty[w] = dirty[w] || write;
+                ++hits;
+                return {true, std::nullopt};
+            }
+        }
+        ++misses;
+        std::size_t victim = base;
+        for (std::size_t w = base + 1; w < base + assoc; ++w)
+            victim = stamps[w] < stamps[victim] ? w : victim;
+        CacheResult r{false, std::nullopt};
+        if (dirty[victim]) {
+            ++writebacks;
+            r.writebackAddr = tags[victim] * lineBytes;
+        }
+        tags[victim] = line;
+        stamps[victim] = clock;
+        dirty[victim] = write;
+        return r;
+    }
+
+    bool
+    contains(Addr addr) const
+    {
+        const Addr line = addr / lineBytes;
+        const std::size_t base = line % sets * assoc;
+        return std::find(tags.begin() + base, tags.begin() + base + assoc,
+                         line) != tags.begin() + base + assoc;
+    }
+
+    void
+    flush()
+    {
+        std::fill(tags.begin(), tags.end(), ~Addr{0});
+        std::fill(stamps.begin(), stamps.end(), 0);
+        std::fill(dirty.begin(), dirty.end(), false);
+    }
+
+    std::uint64_t hits = 0, misses = 0, writebacks = 0;
+
+  private:
+    unsigned assoc, lineBytes;
+    std::size_t sets;
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> stamps;
+    std::vector<bool> dirty;
+    std::uint64_t clock = 0;
+};
+
+/** One step of an oracle stream; flush empties both caches first. */
+struct CacheOp
+{
+    Addr addr;
+    bool write;
+    bool flush = false;
+};
+
+/**
+ * Drive the cache and the oracle through @p ops and compare after
+ * every step: the result, the counters, and residency of every line
+ * the stream touches in the op's set plus a fixed random probe set.
+ * A seeded coin flip sends about half the accesses to accessFast()
+ * first (a fast hit must be an oracle hit); the cache's scans() must
+ * count exactly the access() calls since the last flush.
+ */
+void
+expectMatchesOracle(const CacheConfig &cfg, const std::vector<CacheOp> &ops,
+                    std::uint64_t seed)
+{
+    SetAssocCache cache(cfg);
+    StampLruCache oracle(cfg);
+    Rng rng(seed);
+    const std::size_t sets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
+    auto setOf = [&](Addr a) { return a / cfg.lineBytes % sets; };
+    std::vector<std::vector<Addr>> touched(sets);
+    for (const CacheOp &op : ops) {
+        auto &lines = touched[setOf(op.addr)];
+        const Addr line = op.addr / cfg.lineBytes * cfg.lineBytes;
+        if (std::find(lines.begin(), lines.end(), line) == lines.end())
+            lines.push_back(line);
+    }
+    std::vector<Addr> probes;
+    for (unsigned i = 0; i < 32; ++i)
+        probes.push_back(rng.nextBelow(64 * cfg.sizeBytes));
+    std::uint64_t scans = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const CacheOp &op = ops[i];
+        SCOPED_TRACE(testing::Message() << "assoc " << cfg.assoc
+                                        << " op " << i << " addr "
+                                        << op.addr);
+        if (op.flush) {
+            cache.flush();
+            oracle.flush();
+            scans = 0;
+        }
+        const CacheResult want = oracle.access(op.addr, op.write);
+        if ((rng.next() & 1) && cache.accessFast(op.addr, op.write)) {
+            ASSERT_TRUE(want.hit);
+        } else {
+            const CacheResult got = cache.access(op.addr, op.write);
+            ++scans;
+            ASSERT_EQ(got.hit, want.hit);
+            ASSERT_EQ(got.writebackAddr, want.writebackAddr);
+        }
+        ASSERT_EQ(cache.hits(), oracle.hits);
+        ASSERT_EQ(cache.misses(), oracle.misses);
+        ASSERT_EQ(cache.writebacks(), oracle.writebacks);
+        ASSERT_EQ(cache.scans(), scans);
+        for (Addr a : touched[setOf(op.addr)])
+            ASSERT_EQ(cache.contains(a), oracle.contains(a)) << a;
+        for (Addr a : probes)
+            ASSERT_EQ(cache.contains(a), oracle.contains(a)) << a;
+    }
+}
+
+TEST(Cache, MatchesStampLruOracle)
+{
+    for (unsigned assoc : {1u, 2u, 4u, 8u, 16u}) {
+        // 16 sets of 32 B lines.
+        const CacheConfig cfg{"oracle", 16 * 32 * assoc, assoc, 32};
+        const Addr setStride = cfg.sizeBytes / assoc;
+        Rng rng(assoc);
+        std::vector<CacheOp> ops;
+        // Random reads and writes, byte-granular, a quarter of them
+        // in a hot region that fits so hits and dirty lines build up.
+        for (unsigned i = 0; i < 1500; ++i) {
+            const Addr span = i % 4 ? 8 * cfg.sizeBytes : cfg.sizeBytes;
+            ops.push_back({rng.nextBelow(span), (rng.next() & 1) != 0});
+        }
+        // Cyclic thrash within one set over assoc+1 and 4*assoc
+        // lines: true LRU misses on every access.
+        for (unsigned lines : {assoc + 1, 4 * assoc}) {
+            for (unsigned i = 0; i < 8 * lines; ++i)
+                ops.push_back({3 * 32 + (i % lines) * setStride,
+                               i % 3 == 0});
+        }
+        // The G4 corner turn's pattern: row-order loads from a source
+        // block, stores down a 4096 B-stride destination column,
+        // over a 64x64 word matrix in 32x32 blocks.
+        const Addr dst = 0x40000;
+        for (unsigned br = 0; br < 64; br += 32)
+            for (unsigned bc = 0; bc < 64; bc += 32)
+                for (unsigned r = br; r < br + 32; ++r)
+                    for (unsigned c = bc; c < bc + 32; ++c) {
+                        ops.push_back({(r * 64 + c) * 4, false});
+                        ops.push_back({dst + c * 4096 + r * 4, true});
+                    }
+        // Flushes partway through every phase.
+        for (std::size_t i = 700; i < ops.size(); i += 1777)
+            ops[i].flush = true;
+        expectMatchesOracle(cfg, ops, 100 + assoc);
+    }
 }
 
 TEST(Tlb, HitAfterFill)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for the span-batched memory model (DESIGN D13).
- * Span mode — way-predicted cache hits, TLB page runs, closed-form
+ * Span mode — MRU cache hits, TLB page runs, closed-form
  * DRAM record patterns, bulk span classification in the machine
  * models — is an optimization of the word-at-a-time reference walks,
  * never a semantic change: every primitive and every study-level
@@ -29,15 +29,15 @@ namespace
 
 TEST(MemSpanPrimitives, CacheAccessFastMatchesAccess)
 {
-    // Drive one cache through the way-predicted prefilter (fast hit
+    // Drive one cache through the MRU prefilter (fast hit
     // or fall back to the full access) and a twin through access()
     // alone; state and counters must stay identical throughout.
     const CacheConfig cfg{"t.l1", 4 * 1024, 4, 32};
     SetAssocCache fast(cfg), ref(cfg);
     Rng rng(42);
     for (unsigned i = 0; i < 20000; ++i) {
-        // A mix of streaming runs (memo hits), set-thrashing strides
-        // (memo misses + evictions), and random probes.
+        // A mix of streaming runs (MRU hits), set-thrashing strides
+        // (MRU misses + evictions), and random probes.
         Addr a;
         switch (i % 3) {
           case 0: a = (i / 3) * 4 % 8192; break;

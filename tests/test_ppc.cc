@@ -10,6 +10,7 @@
 
 #include <cmath>
 
+#include "mem/mem_mode.hh"
 #include "ppc/kernels_ppc.hh"
 #include "ppc/machine.hh"
 
@@ -131,6 +132,85 @@ TEST(PpcKernels, CornerTurnAltivecGainsLittle)
     // corner turn — bounded by memory, well under the 4x datapath.
     EXPECT_LT(scalar, 2 * vec);
     EXPECT_GE(scalar, vec);
+}
+
+/** Corner-turn counts pinned for one shape and variant: the
+ *  simulated results, then the full set scans (SetAssocCache::
+ *  scans()) each memory model sends through L1 and L2. */
+struct CtPin
+{
+    unsigned rows, cols, edge;
+    bool altivec;
+    Cycles cycles;
+    std::uint64_t l1Misses, l2Misses, fsbWords;
+    std::uint64_t spanL1Scans, spanL2Scans, refL1Scans, refL2Scans;
+};
+
+void
+expectCornerTurnPin(const CtPin &pin)
+{
+    kernels::WordMatrix src(pin.rows, pin.cols);
+    kernels::fillMatrix(src, 3);
+    for (const mem::MemModel mode :
+         {mem::MemModel::Span, mem::MemModel::Reference}) {
+        const bool span = mode == mem::MemModel::Span;
+        SCOPED_TRACE(testing::Message()
+                     << pin.rows << "x" << pin.cols << " edge "
+                     << pin.edge << (pin.altivec ? " altivec" : " scalar")
+                     << (span ? " span" : " reference"));
+        PpcConfig cfg;
+        cfg.memModel = mode;
+        PpcMachine m(cfg);
+        kernels::WordMatrix dst;
+        EXPECT_EQ(cornerTurnPpc(m, src, dst, pin.altivec, pin.edge),
+                  pin.cycles);
+        EXPECT_TRUE(kernels::isTransposeOf(src, dst));
+        EXPECT_EQ(m.l1Misses(), pin.l1Misses);
+        EXPECT_EQ(m.l2Misses(), pin.l2Misses);
+        EXPECT_EQ(m.fsbWords(), pin.fsbWords);
+        EXPECT_EQ(m.l1Scans(), span ? pin.spanL1Scans : pin.refL1Scans);
+        EXPECT_EQ(m.l2Scans(), span ? pin.spanL2Scans : pin.refL2Scans);
+    }
+}
+
+TEST(PpcKernels, CornerTurnPaperCountsPinned)
+{
+    // The 1024^2 Table-3 cells. The 4096 B destination stride sends
+    // each 32-store block column into one 8-way L1 set, so every
+    // store misses (1,048,576 of the scalar L1 misses; the rest are
+    // source-line fills) and walks L2. Reference mode scans L1 on
+    // every access; span mode only where slot 0 of the set misses.
+    expectCornerTurnPin({1024, 1024, 32, false, 25'261'710, 1'179'648,
+                         262'144, 3'143'680, 1'186'816, 1'180'544,
+                         2'097'152, 2'228'217});
+    expectCornerTurnPin({1024, 1024, 32, true, 17'008'072, 393'216,
+                         262'144, 3'143'680, 524'288, 393'728,
+                         524'288, 655'356});
+}
+
+TEST(PpcKernels, CornerTurnOddShapeCountsPinned)
+{
+    // ablation_blocking sweeps the block edge; partial edge blocks
+    // (1000 = 83 x 12 + 4) and a non-power-of-two row pitch take
+    // set mappings the paper shape never reaches.
+    expectCornerTurnPin({1000, 600, 4, false, 10'411'283, 153'171,
+                         150'000, 1'765'072, 238'555, 226'680,
+                         1'200'000, 230'742});
+    expectCornerTurnPin({1000, 600, 4, true, 9'026'438, 153'235,
+                         150'000, 1'765'072, 227'382, 226'692,
+                         300'000, 230'870});
+    expectCornerTurnPin({1000, 600, 12, false, 10'489'515, 175'092,
+                         150'000, 1'764'656, 196'648, 261'576,
+                         1'200'000, 274'536});
+    expectCornerTurnPin({1000, 600, 12, true, 9'111'639, 175'098,
+                         150'000, 1'764'656, 184'905, 261'512,
+                         300'000, 274'548});
+    expectCornerTurnPin({1000, 600, 64, false, 10'295'028, 150'000,
+                         150'000, 1'764'248, 189'829, 211'131,
+                         1'200'000, 224'469});
+    expectCornerTurnPin({1000, 600, 64, true, 8'945'385, 150'000,
+                         150'000, 1'764'248, 171'873, 210'794,
+                         300'000, 224'475});
 }
 
 TEST(PpcKernels, BeamSteeringBothVariantsMatchReference)
